@@ -55,13 +55,11 @@ from .graphs import (
     odd_cycle_status,
 )
 from .products import (
-    Layer,
     ProductGraph,
     check_degree_product,
     check_weichsel,
     complete_graph,
     direct_product,
-    layer,
 )
 from .reports import VerificationReport, reports_to_json_lines
 from .sweep import (
@@ -83,7 +81,6 @@ __all__ = [
     "FormulaResult",
     "Graph",
     "Graph6Error",
-    "Layer",
     "OddCycleStatus",
     "ProductGraph",
     "QuotientGraph",
@@ -110,7 +107,6 @@ __all__ = [
     "kappa",
     "kappa_product_fast",
     "labeled_graphs",
-    "layer",
     "lemma_checks",
     "min_degree",
     "min_vertex_cut",

@@ -1,222 +1,178 @@
-"""Compiled inner loops for connectivity.
+"""Inner loops for connectivity, on graphs packed as neighbour bitmasks.
 
-Plain array code throughout, so everything still runs (slower) if numba is
-missing; with numba present the kernels JIT-compile on first use and are cached
-on disk.
+Both kernels take ``rows``: the adjacency matrix packed as one Python int per
+row, so bit j of rows[i] is set exactly when i and j are adjacent. That is the
+representation ``Graph`` already stores, so no other graph form is built.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
+def _disjoint_paths(rows, s, t, cutoff):
+    """Maximum number of internally vertex-disjoint s-t paths, but no more
+    than ``cutoff``; s and t must be distinct and non-adjacent.
 
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-@njit(cache=True)
-def _augment_bfs(head, nxt, to, cap, src, snk, parent_arc, queue):
-    for i in range(parent_arc.shape[0]):
-        parent_arc[i] = -1
-    parent_arc[src] = -2
-    queue[0] = src
-    qhead = 0
-    qtail = 1
-    while qhead < qtail:
-        u = queue[qhead]
-        qhead += 1
-        a = head[u]
-        while a != -1:
-            if cap[a] > 0:
-                v = to[a]
-                if parent_arc[v] == -1:
-                    parent_arc[v] = a
-                    if v == snk:
-                        return True
-                    queue[qtail] = v
-                    qtail += 1
-            a = nxt[a]
-    return False
-
-
-@njit(cache=True)
-def _disjoint_paths(head, nxt, to, cap, cap0, src, snk, cutoff, parent_arc, queue):
-    # max number of internally vertex-disjoint src->snk paths, but give up at
-    # cutoff: callers only care whether the count drops below the running best
-    for a in range(cap.shape[0]):
-        cap[a] = cap0[a]
-    flow = 0
-    while flow < cutoff:
-        if not _augment_bfs(head, nxt, to, cap, src, snk, parent_arc, queue):
-            break
-        v = snk
-        while v != src:
-            a = parent_arc[v]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            v = to[a ^ 1]
+    This is unit-capacity max-flow in the split graph (each vertex v an arc
+    v_in -> v_out) without building it. Every vertex other than s and t
+    carries at most one unit, so the flow is one predecessor/successor pair
+    per vertex: prv[v] -> v -> nxt[v]. Residual arcs are then
+      v_out -> w_in   for a neighbour w, unless w == nxt[v];
+      v_in  -> v_out  when v carries no flow;
+      v_out -> v_in   and   v_in -> prv[v]_out   when it does.
+    """
+    # common neighbours give disjoint two-edge paths outright
+    common = rows[s] & rows[t]
+    flow = common.bit_count()
+    if flow >= cutoff:
+        return cutoff
+    n = len(rows)
+    prv = [-1] * n
+    nxt = [-1] * n
+    parent = [-1] * n
+    used = common  # vertices carrying a unit of flow
+    m = common
+    while m:
+        low = m & -m
+        w = low.bit_length() - 1
+        m ^= low
+        prv[w] = s
+        nxt[w] = t
+    while flow < cutoff and _augmenting_path(rows, s, t, used, prv, parent):
+        # walk the path back from t_in and push one unit along it
+        w = t
+        while True:
+            u = parent[w]
+            if u == w:
+                # v_out -> v_in: both of w's flow arcs are cancelled, so w is
+                # free again; w_out was reached from nxt[w]_in
+                used &= ~(1 << w)
+                w = nxt[w]
+                continue
+            prv[w] = u
+            if u == s:
+                break
+            if used >> u & 1:
+                # u_out was reached from nxt[u]_in, whose arc from u is cancelled
+                w, nxt[u] = nxt[u], w
+            else:
+                used |= 1 << u
+                nxt[u] = w
+                w = u
         flow += 1
     return flow
 
 
-@njit(cache=True)
-def kappa_from_matrix(adj):
-    """Exact vertex connectivity from a boolean adjacency matrix.
+def _augmenting_path(rows, s, t, used, prv, parent):
+    """Breadth-first search of the residual graph from s_out to t_in, one
+    layer of out-nodes and one of in-nodes at a time. On success parent[w]
+    names the out-node that reached in-node w (w itself for w_out -> w_in).
 
-    Splits each vertex into in/out flow nodes with a unit arc between them, so
-    max-flow counts vertex-disjoint paths. Flows are only run from one fixed
-    minimum-degree vertex to its non-neighbours and between non-adjacent pairs
-    of its neighbourhood; any minimum cut is seen by one of those pairs.
+    The only way into v_out of a flow-carrying v is from nxt[v]_in, so only
+    in-nodes need a parent slot, and the saturated arc v_out -> nxt[v]_in
+    needs no check: its head is already seen when v_out is expanded (t_in is
+    never expanded, so no v_out with nxt[v] == t is reached at all). Nor do
+    the saturated arcs s_out -> w_in: from such a w_in the only residual arc
+    leads back to s_out, so the search dead-ends there either way.
     """
-    n = adj.shape[0]
+    t_bit = 1 << t
+    seen_in = front_out = 1 << s
+    while front_out:
+        front_in = 0
+        while front_out:
+            low = front_out & -front_out
+            v = low.bit_length() - 1
+            front_out ^= low
+            cand = rows[v] & ~seen_in
+            if used & low and not seen_in & low:
+                cand |= low
+            if cand & t_bit:
+                parent[t] = v
+                return True
+            seen_in |= cand
+            front_in |= cand
+            while cand:
+                low = cand & -cand
+                parent[low.bit_length() - 1] = v
+                cand ^= low
+        # free in-nodes pass to their own out-node; a flow-carrying one steps
+        # back to its predecessor's out-node (s_out is the origin)
+        front_out = front_in & ~used
+        m = front_in & used
+        while m:
+            low = m & -m
+            p = prv[low.bit_length() - 1]
+            m ^= low
+            if p != s:
+                front_out |= 1 << p
+    return False
+
+
+def kappa_from_matrix(rows):
+    """Exact vertex connectivity of the graph whose adjacency matrix is
+    ``rows``, packed as one int per row (bit j of rows[i] set when i ~ j).
+
+    Esfahanian-Hakimi: flows run only from one fixed minimum-degree vertex to
+    its non-neighbours and between non-adjacent pairs of its neighbourhood;
+    every minimum cut is seen by one of those pairs. Each flow stops at the
+    best value found so far.
+    """
+    n = len(rows)
     if n <= 1:
         return 0
-    deg = np.zeros(n, np.int64)
-    for i in range(n):
-        d = 0
-        for j in range(n):
-            if adj[i, j]:
-                d += 1
-        deg[i] = d
-    complete = True
-    for i in range(n):
-        if deg[i] != n - 1:
-            complete = False
-            break
-    if complete:
+    degrees = [r.bit_count() for r in rows]
+    best = min(degrees)
+    if best == n - 1:
         return n - 1
-
-    seen = np.zeros(n, np.uint8)
-    order = np.empty(n, np.int64)
-    seen[0] = 1
-    order[0] = 0
-    qh = 0
-    qt = 1
-    while qh < qt:
-        u = order[qh]
-        qh += 1
-        for w in range(n):
-            if adj[u, w] and seen[w] == 0:
-                seen[w] = 1
-                order[qt] = w
-                qt += 1
-    if qt < n:
+    if not _still_connected(rows, (1 << n) - 1):
         return 0
 
-    edge_cnt = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i, j]:
-                edge_cnt += 1
-    num_arcs = 2 * n + 4 * edge_cnt
-    head = np.full(2 * n, -1, np.int64)
-    nxt = np.empty(num_arcs, np.int64)
-    to = np.empty(num_arcs, np.int64)
-    cap0 = np.empty(num_arcs, np.int64)
-    cnt = 0
-    # arc pairs sit at (2k, 2k+1) so the reverse of arc a is a^1;
-    # node v is "in", node v+n is "out"
-    for v in range(n):
-        to[cnt] = v + n
-        cap0[cnt] = 1
-        nxt[cnt] = head[v]
-        head[v] = cnt
-        cnt += 1
-        to[cnt] = v
-        cap0[cnt] = 0
-        nxt[cnt] = head[v + n]
-        head[v + n] = cnt
-        cnt += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i, j]:
-                to[cnt] = j
-                cap0[cnt] = 1
-                nxt[cnt] = head[i + n]
-                head[i + n] = cnt
-                cnt += 1
-                to[cnt] = i + n
-                cap0[cnt] = 0
-                nxt[cnt] = head[j]
-                head[j] = cnt
-                cnt += 1
-                to[cnt] = i
-                cap0[cnt] = 1
-                nxt[cnt] = head[j + n]
-                head[j + n] = cnt
-                cnt += 1
-                to[cnt] = j + n
-                cap0[cnt] = 0
-                nxt[cnt] = head[i]
-                head[i] = cnt
-                cnt += 1
-
-    cap = np.empty(num_arcs, np.int64)
-    parent_arc = np.empty(2 * n, np.int64)
-    queue = np.empty(2 * n, np.int64)
-
-    v_min = 0
-    for i in range(1, n):
-        if deg[i] < deg[v_min]:
-            v_min = i
-    best = deg[v_min]
+    v_min = degrees.index(best)
+    around = rows[v_min]
     for u in range(n):
-        if u != v_min and not adj[v_min, u]:
-            got = _disjoint_paths(head, nxt, to, cap, cap0,
-                                  v_min + n, u, best, parent_arc, queue)
-            if got < best:
-                best = got
-    for x in range(n):
-        if not adj[v_min, x]:
-            continue
-        for y in range(x + 1, n):
-            if adj[v_min, y] and not adj[x, y]:
-                got = _disjoint_paths(head, nxt, to, cap, cap0,
-                                      x + n, y, best, parent_arc, queue)
-                if got < best:
-                    best = got
+        if u != v_min and not around >> u & 1:
+            best = min(best, _disjoint_paths(rows, v_min, u, best))
+    m = around
+    while m:
+        low = m & -m
+        x = low.bit_length() - 1
+        m ^= low
+        rest = m & ~rows[x]  # neighbours of v_min above x and not adjacent to x
+        while rest:
+            y_bit = rest & -rest
+            rest ^= y_bit
+            best = min(best, _disjoint_paths(rows, x, y_bit.bit_length() - 1, best))
     return best
 
 
-@njit(cache=True)
-def _still_connected(adj_bits, n, full, removed):
-    rest = full & ~removed
+def _still_connected(rows, rest):
     if rest & (rest - 1) == 0:
         return False  # one vertex left, counts as trivialised, not connected
-    reach = rest & -rest
-    frontier = reach
-    while frontier != 0:
+    reach = frontier = rest & -rest
+    while frontier:
         grown = 0
-        for v in range(n):
-            if (frontier >> v) & 1:
-                grown |= adj_bits[v]
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = grown & rest & ~reach
         reach |= frontier
     return reach == rest
 
 
-@njit(cache=True)
-def brute_force_kappa_bits(adj_bits, n):
-    """Least k for which some k-subset removal disconnects or trivialises.
+def brute_force_kappa_bits(rows):
+    """Least k for which some k-subset removal disconnects or trivialises the
+    graph whose adjacency matrix is ``rows``, packed as one int per row.
 
-    k-subsets are walked in lexicographic order with Gosper's trick; adjacency
-    bitmasks must fit in int64, so n <= 62.
+    k-subsets are walked in lexicographic order with Gosper's trick.
     """
-    full = (np.int64(1) << n) - 1
-    if not _still_connected(adj_bits, n, full, np.int64(0)):
+    n = len(rows)
+    full = (1 << n) - 1
+    if not _still_connected(rows, full):
         return 0
     for k in range(1, n):
-        subset = (np.int64(1) << k) - 1
+        subset = (1 << k) - 1
         while subset <= full:
-            if not _still_connected(adj_bits, n, full, subset):
+            if not _still_connected(rows, full & ~subset):
                 return k
             low = subset & -subset
             ripple = subset + low

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from ._kernels import brute_force_kappa_bits, kappa_from_matrix
 from .graphs import Graph, bit_indices
 
@@ -34,7 +32,7 @@ def kappa(g: Graph) -> int:
     """Vertex connectivity. 0 for disconnected graphs and for K1, n-1 for Kn."""
     if g.vertex_count == 0:
         raise ValueError("connectivity undefined for the empty graph")
-    return int(kappa_from_matrix(g.adjacency_matrix()))
+    return kappa_from_matrix(g._adj)
 
 
 def is_separator(g: Graph, vertices) -> bool:
@@ -98,7 +96,4 @@ def brute_force_kappa(g: Graph, cap: int = BRUTE_FORCE_CAP) -> int:
         raise ValueError("connectivity undefined for the empty graph")
     if n > cap:
         raise ValueError(f"graph has {n} vertices, above the oracle cap {cap}")
-    if n > 62:
-        raise ValueError("subset oracle needs adjacency masks in int64, so at most 62 vertices")
-    bits = np.array([g.adjacency_mask(v) for v in range(n)], dtype=np.int64)
-    return int(brute_force_kappa_bits(bits, n))
+    return brute_force_kappa_bits(g._adj)

@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 
 def bit_indices(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
@@ -103,8 +101,13 @@ class Graph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (row i = neighbours of i)."""
+    def adjacency_matrix(self) -> "numpy.ndarray":
+        """Dense boolean adjacency matrix (row i = neighbours of i).
+
+        An export for numpy users: numpy is imported here, not by the package.
+        """
+        import numpy as np
+
         mat = np.zeros((self._n, self._n), dtype=np.bool_)
         for v in range(self._n):
             for w in bit_indices(self._adj[v]):

@@ -37,14 +37,6 @@ class ProductGraph:
         return divmod(index, self.right_count)
 
 
-@dataclass(frozen=True)
-class Layer:
-    """The copy of V(H) sitting above one vertex of the left factor."""
-
-    left_index: int
-    vertices: frozenset[int]
-
-
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
@@ -69,13 +61,6 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return ProductGraph(Graph.from_adjacency(adj), g.vertex_count, hn)
-
-
-def layer(product: ProductGraph, i: int) -> Layer:
-    if not 0 <= i < product.left_count:
-        raise ValueError(f"layer {i} out of range for left factor of size {product.left_count}")
-    start = i * product.right_count
-    return Layer(i, frozenset(range(start, start + product.right_count)))
 
 
 def check_weichsel(g: Graph, h: Graph) -> VerificationReport:

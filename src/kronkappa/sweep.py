@@ -67,6 +67,18 @@ class SweepConfig:
     edge_probability: float = 0.5
 
     def __post_init__(self):
+        # configs arrive as parsed JSON, so types are checked before values
+        if not isinstance(self.n_values, (list, tuple)):
+            raise ValueError(f"n_values must be a list of integers, got {self.n_values!r}")
+        for name, value in [("max_vertices", self.max_vertices),
+                            ("sample_count", self.sample_count), ("seed", self.seed),
+                            *(("n_values entry", n) for n in self.n_values)]:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if (not isinstance(self.edge_probability, (int, float))
+                or isinstance(self.edge_probability, bool)):
+            raise ValueError(
+                f"edge_probability must be a number, got {self.edge_probability!r}")
         object.__setattr__(self, "n_values", tuple(self.n_values))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -89,6 +101,8 @@ class SweepConfig:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SweepConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"sweep config must be a JSON object, got {data!r}")
         known = {"max_vertices", "n_values", "mode", "sample_count",
                  "seed", "oracle", "edge_probability"}
         extra = set(data) - known

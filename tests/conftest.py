@@ -8,19 +8,10 @@ deletion instead of flows) so tests compare two routes, not one route twice.
 from itertools import combinations
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 
 import kronkappa as kk
 from kronkappa import Graph
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _warm_kernels():
-    # first call pays the JIT compile/load cost; keep it out of hypothesis
-    # examples so per-example deadlines stay meaningful
-    kk.kappa(kk.complete_graph(3))
-    kk.brute_force_kappa(kk.complete_graph(3))
 
 
 @st.composite

@@ -179,12 +179,32 @@ def test_sweep_cli_deterministic(capsys, tmp_path):
     assert len(out1.splitlines()) == 57
 
 
-def test_sweep_rejects_bad_config(capsys, tmp_path):
+@pytest.mark.parametrize("override,message", [
+    ({"n_values": [2]}, "at least 3"),
+    ({"n_values": 3}, "n_values must be a list"),
+    ({"n_values": [3.5]}, "n_values entry must be an integer"),
+    ({"n_values": [True]}, "n_values entry must be an integer"),
+    ({"sample_count": "5"}, "sample_count must be an integer"),
+    ({"max_vertices": "3"}, "max_vertices must be an integer"),
+    ({"max_vertices": True}, "max_vertices must be an integer"),
+    ({"seed": 1.0}, "seed must be an integer"),
+    ({"edge_probability": "0.5"}, "edge_probability must be a number"),
+])
+def test_sweep_rejects_bad_config(capsys, tmp_path, override, message):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"max_vertices": 3, "n_values": [2], "mode": "exhaustive"}))
+    cfg.write_text(json.dumps({"max_vertices": 3, "n_values": [3], "mode": "exhaustive",
+                               **override}))
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert code == 2
-    assert "at least 3" in err
+    assert message in err
+
+
+def test_sweep_rejects_config_that_is_not_an_object(capsys, tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("3")
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert "JSON object" in err
 
 
 def test_missing_file_is_usage_error(capsys):

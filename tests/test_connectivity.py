@@ -1,5 +1,10 @@
+from itertools import combinations
+from random import Random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
 
 from kronkappa import (
     brute_force_kappa,
@@ -10,7 +15,10 @@ from kronkappa import (
     kappa,
     min_vertex_cut,
     parse_graph6,
+    random_connected_graph,
+    random_graph,
 )
+from kronkappa._kernels import _disjoint_paths
 
 from conftest import graph_strategy, ref_is_separator, ref_kappa
 
@@ -63,6 +71,11 @@ def test_brute_force_cap():
     assert brute_force_kappa(g, cap=13) == 12
 
 
+def test_brute_force_past_64_vertices():
+    path = build_graph(70, [(i, i + 1) for i in range(69)])
+    assert brute_force_kappa(path, cap=70) == 1
+
+
 @given(graph_strategy(min_vertices=1, max_vertices=6))
 def test_flow_matches_subset_reference(g):
     assert kappa(g) == ref_kappa(g)
@@ -71,6 +84,64 @@ def test_flow_matches_subset_reference(g):
 @given(graph_strategy(min_vertices=1, max_vertices=9))
 def test_flow_matches_brute_force(g):
     assert kappa(g) == brute_force_kappa(g)
+
+
+def _to_networkx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.vertex_count))
+    out.add_edges_from(g.edges)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_flow_matches_networkx_beyond_brute_force(seed):
+    rng = Random(seed)
+    g = random_graph(rng.randint(13, 24), rng.choice((0.2, 0.35, 0.5, 0.7)), seed)
+    assert kappa(g) == nx.node_connectivity(_to_networkx(g))
+
+
+@pytest.mark.parametrize("seed", range(18))
+def test_product_flow_matches_networkx(seed):
+    # dense products make later augmenting paths cancel flow of earlier ones
+    rng = Random(seed)
+    factor = random_connected_graph(rng.randint(6, 8), rng.choice((0.3, 0.5, 0.7)), seed)
+    product = direct_product(factor, complete_graph(3 + seed % 3)).graph
+    assert kappa(product) == nx.node_connectivity(_to_networkx(product))
+
+
+def test_disjoint_paths_match_networkx_on_every_pair():
+    """Uncapped flows between every non-adjacent pair, so later augmenting
+    paths walk back through vertices whose flow earlier ones rerouted."""
+    graphs = [random_graph(9 + seed % 6, 0.3, seed) for seed in range(12)]
+    # a path here must reroute a vertex's outgoing unit and a later one then
+    # cancels that new unit; a stale successor made the walk loop forever
+    graphs.append(build_graph(9, [(0, 3), (0, 4), (0, 7), (0, 8), (1, 3), (1, 4), (1, 6),
+                                  (2, 4), (2, 5), (2, 8), (3, 7), (4, 6), (4, 7), (5, 6)]))
+    for g in graphs:
+        n = g.vertex_count
+        rows = [g.adjacency_mask(v) for v in range(n)]
+        reference = _to_networkx(g)
+        for s, t in combinations(range(n), 2):
+            if not g.has_edge(s, t):
+                assert (_disjoint_paths(rows, s, t, n)
+                        == local_node_connectivity(reference, s, t)), (g, s, t)
+
+
+def _chain(*vertices):
+    return list(zip(vertices, vertices[1:]))
+
+
+def test_disjoint_paths_reroute_along_a_flow_path():
+    """s-p-v-q-t is the unique shortest path, so the first augmentation takes
+    it. The second must enter q by s-5-6-7-q and step back along the flow,
+    v_out -> v_in -> p_out, to leave p by p-8-9-10-t; that frees v. With the
+    chains s-11..15-v and v-16..20-t added, a third path then runs through v."""
+    s, t, p, v, q = range(5)
+    core = _chain(s, p, v, q, t) + _chain(s, 5, 6, 7, q) + _chain(p, 8, 9, 10, t)
+    through_v = _chain(s, *range(11, 16), v) + _chain(v, *range(16, 21), t)
+    for edges, n, paths in ((core, 11, 2), (core + through_v, 21, 3)):
+        rows = [build_graph(n, edges).adjacency_mask(x) for x in range(n)]
+        assert _disjoint_paths(rows, s, t, n) == paths
 
 
 def test_is_separator_cases():

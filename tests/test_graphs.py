@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +100,14 @@ def test_adjacency_matrix_shape(g):
     assert (mat == mat.T).all()
     assert not mat.diagonal().any()
     assert int(mat.sum()) == 2 * g.edge_count()
+
+
+def test_import_leaves_numpy_unloaded():
+    # only adjacency_matrix needs numpy, and it imports it when called
+    proc = subprocess.run(
+        [sys.executable, "-c", "import kronkappa, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_single_vertex_is_bipartite():

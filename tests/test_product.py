@@ -9,7 +9,6 @@ from kronkappa import (
     complete_graph,
     connected_components,
     direct_product,
-    layer,
     min_degree,
     random_bipartite_graph,
 )
@@ -52,15 +51,6 @@ def test_index_pair_roundtrip_and_range():
         prod.index_of(0, 4)
     with pytest.raises(ValueError):
         prod.pair_of(12)
-
-
-def test_layer_contents():
-    prod = direct_product(build_graph(3, [(0, 1), (1, 2)]), complete_graph(3))
-    assert layer(prod, 0).vertices == frozenset({0, 1, 2})
-    assert layer(prod, 2).vertices == frozenset({6, 7, 8})
-    assert layer(prod, 1).left_index == 1
-    with pytest.raises(ValueError):
-        layer(prod, 3)
 
 
 @settings(max_examples=60)
