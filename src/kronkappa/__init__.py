@@ -9,7 +9,16 @@ brute-force connectivity oracles over exhaustive and randomised graph
 families.
 """
 
+from .checks import (
+    check_complete_product,
+    check_degree_product,
+    check_layer_in_component,
+    check_quotient_connected,
+    check_weichsel,
+    rerun_check,
+)
 from .connectivity import (
+    BRUTE_FORCE_BUDGET,
     BRUTE_FORCE_CAP,
     CutWitness,
     brute_force_kappa,
@@ -22,9 +31,6 @@ from .formula import (
     FormulaResult,
     QuotientGraph,
     build_quotient,
-    check_complete_product,
-    check_layer_in_component,
-    check_quotient_connected,
     formula_kappa_product,
     kappa_product_fast,
     sample_separator,
@@ -56,8 +62,6 @@ from .graphs import (
 )
 from .products import (
     ProductGraph,
-    check_degree_product,
-    check_weichsel,
     complete_graph,
     direct_product,
 )
@@ -67,7 +71,6 @@ from .sweep import (
     instance_checks,
     instance_seed,
     lemma_checks,
-    rerun_check,
     run_sweep,
     theorem_checks,
 )
@@ -75,6 +78,7 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BRUTE_FORCE_BUDGET",
     "BRUTE_FORCE_CAP",
     "CutWitness",
     "FormulaInapplicable",

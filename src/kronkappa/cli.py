@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .checks import ORACLES, InstanceFacts, run_check
 from .connectivity import kappa, min_vertex_cut
 from .formula import FormulaInapplicable, witness_cut
 from .generators import all_labeled_graphs
@@ -20,7 +21,6 @@ from .products import complete_graph, direct_product
 from .reports import VerificationReport
 from .sweep import (
     EXHAUSTIVE_VERTEX_CAP,
-    ORACLES,
     SweepConfig,
     instance_seed,
     lemma_checks,
@@ -101,12 +101,9 @@ def _cmd_verify_theorem(args) -> int:
     for g in graphs:
         for n in args.n:
             if n < 3:
-                product = direct_product(g, complete_graph(n)).graph
-                reports.append(VerificationReport(
-                    check_name="direct_kappa",
-                    inputs={"graph6": write_graph6(g), "n": n},
-                    computed={"kappa_product": kappa(product)},
-                    verdict="pass"))
+                facts = InstanceFacts(g, n)
+                reports.append(run_check("direct_kappa", facts,
+                                         {"graph6": facts.graph6, "n": n}))
             else:
                 reports.extend(theorem_checks(g, n, oracle=args.oracle))
     return _emit_reports(reports, args.timings)
@@ -129,12 +126,7 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    if args.n < 2:
-        raise ValueError(f"complete factor needs at least 2 vertices, got n={args.n}")
-    if args.n < 3 and not args.direct:
-        raise FormulaInapplicable(
-            f"n={args.n}: witness construction relies on the closed form, "
-            "which needs n >= 3")
+    _refuse_small_n([args.n], args.direct)
     for g in _load_graphs(args.file):
         if args.direct:
             product = direct_product(g, complete_graph(args.n)).graph

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from ._kernels import brute_force_kappa_bits, kappa_from_matrix
-from .graphs import Graph, bit_indices
+from ._kernels import _still_connected, brute_force_kappa_bits, kappa_from_matrix
+from .graphs import Graph, min_degree
 
 #: default vertex cap for the subset-enumeration oracle
 BRUTE_FORCE_CAP = 12
+
+#: most deletion subsets the oracle may have to try, bounded before it starts
+BRUTE_FORCE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,19 +53,7 @@ def is_separator(g: Graph, vertices) -> bool:
             raise ValueError(f"vertex {v} out of range for vertex count {n}")
         removed |= 1 << v
     rest = ((1 << n) - 1) & ~removed
-    if rest == 0:
-        return False
-    if rest & (rest - 1) == 0:
-        return True
-    reach = rest & -rest
-    frontier = reach
-    while frontier:
-        grown = 0
-        for v in bit_indices(frontier):
-            grown |= g.adjacency_mask(v)
-        frontier = grown & rest & ~reach
-        reach |= frontier
-    return reach != rest
+    return rest != 0 and not _still_connected(g._adj, rest)
 
 
 def min_vertex_cut(g: Graph) -> CutWitness:
@@ -89,11 +81,17 @@ def brute_force_kappa(g: Graph, cap: int = BRUTE_FORCE_CAP) -> int:
     """Connectivity by enumerating deletion subsets in increasing size.
 
     Independent of the flow routine; meant as a cross-check oracle, hence the
-    vertex cap.
+    vertex cap and the work budget. kappa never exceeds the minimum degree, so
+    at most sum(C(n, j) for j <= delta) subsets are tried; a graph whose bound
+    is above ``BRUTE_FORCE_BUDGET`` is refused before enumeration starts.
     """
     n = g.vertex_count
     if n == 0:
         raise ValueError("connectivity undefined for the empty graph")
     if n > cap:
         raise ValueError(f"graph has {n} vertices, above the oracle cap {cap}")
+    subsets = sum(comb(n, j) for j in range(min_degree(g) + 1))
+    if subsets > BRUTE_FORCE_BUDGET:
+        raise ValueError(f"brute force may try {subsets} deletion subsets, "
+                         f"above the oracle budget {BRUTE_FORCE_BUDGET}")
     return brute_force_kappa_bits(g._adj)

@@ -12,15 +12,12 @@ K_2 products of bipartite factors fall apart.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from random import Random
 
 from .connectivity import CutWitness, is_separator, kappa, min_vertex_cut
-from .graphs import Graph, connected_components, induced_subgraph, min_degree
-from .graphio import write_graph6
+from .graphs import Graph, min_degree
 from .products import complete_graph, direct_product
-from .reports import VerificationReport, elapsed_ms_since, verdict_of
 
 
 class FormulaInapplicable(ValueError):
@@ -77,26 +74,11 @@ def kappa_product_fast(g: Graph, n: int) -> int:
 def witness_cut(g: Graph, n: int) -> CutWitness:
     """An explicit minimum separator of G x K_n matching the closed form.
 
-    Copy branch: C x V(K_n) for a minimum cut C of G. Neighborhood branch
-    (also taken on ties): all neighbours of (u, 0) where u is the smallest
-    minimum-degree vertex of G. The constructed set is re-checked against the
-    actual product before being returned.
+    The set is the one ``witness_vertices`` builds; it is re-checked against
+    the actual product before being returned.
     """
-    _require_applicable(n)
-    if g.vertex_count < 2:
-        raise ValueError("witness needs a factor with at least two vertices")
-    if len(connected_components(g)) != 1:
-        raise ValueError("witness needs a connected factor")
     result = formula_kappa_product(kappa(g), min_degree(g), n)
-    if result.binding_branch == "copy":
-        factor_cut = min_vertex_cut(g).vertices
-        chosen = frozenset(c * n + j for c in factor_cut for j in range(n))
-        branch = "copy"
-    else:
-        u = min(v for v in range(g.vertex_count) if g.degree(v) == result.delta_g)
-        # neighbours of (u, 0) in G x K_n: every (w, j) with w ~ u and j != 0
-        chosen = frozenset(w * n + j for w in g.neighbors(u) for j in range(1, n))
-        branch = "neighborhood"
+    chosen, branch = witness_vertices(g, result)
     if len(chosen) != result.value:
         raise AssertionError("witness size does not match the closed form")
     product = direct_product(g, complete_graph(n)).graph
@@ -104,6 +86,28 @@ def witness_cut(g: Graph, n: int) -> CutWitness:
         raise AssertionError("constructed witness does not separate the product")
     left = product.vertex_count - len(chosen)
     return CutWitness(chosen, "trivial" if left == 1 else "disconnected", branch)
+
+
+def witness_vertices(g: Graph, result: FormulaResult) -> tuple[frozenset[int], str]:
+    """The closed form's separator of G x K_n and the branch it comes from,
+    for a connected factor G on two or more vertices and its ``result``.
+
+    Copy branch: C x V(K_n) for a minimum cut C of G. Neighborhood branch
+    (also taken on ties): all neighbours of (u, 0) where u is the smallest
+    minimum-degree vertex of G.
+    """
+    if g.vertex_count < 2:
+        raise ValueError("witness needs a factor with at least two vertices")
+    if result.kappa_g == 0:
+        raise ValueError("witness needs a connected factor")
+    n = result.n
+    if result.binding_branch == "copy":
+        factor_cut = min_vertex_cut(g).vertices
+        return frozenset(c * n + j for c in factor_cut for j in range(n)), "copy"
+    u = min(v for v in range(g.vertex_count) if g.degree(v) == result.delta_g)
+    # neighbours of (u, 0) in G x K_n: every (w, j) with w ~ u and j != 0
+    return (frozenset(w * n + j for w in g.neighbors(u) for j in range(1, n)),
+            "neighborhood")
 
 
 @dataclass(frozen=True)
@@ -120,14 +124,6 @@ class QuotientGraph:
     removed: frozenset[int]
     remainders: tuple[frozenset[int], ...]
     graph: Graph
-
-
-def _remainders_joined(rem_i: frozenset[int], rem_j: frozenset[int], n: int) -> bool:
-    cols_i = {v % n for v in rem_i}
-    if len(cols_i) > 1:
-        return True
-    cols_j = {v % n for v in rem_j}
-    return cols_j != cols_i
 
 
 def build_quotient(g: Graph, n: int, removed) -> QuotientGraph:
@@ -155,80 +151,14 @@ def build_quotient(g: Graph, n: int, removed) -> QuotientGraph:
         remainders.append(rem)
     masks = [0] * m
     for i, j in g.edge_list():
-        if _remainders_joined(remainders[i], remainders[j], n):
+        # joined unless both remainders are one vertex in the same column
+        rem_i, rem_j = remainders[i], remainders[j]
+        if len(rem_i) > 1 or len(rem_j) > 1 or min(rem_i) % n != min(rem_j) % n:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return QuotientGraph(factor=g, n=n, removed=removed,
                          remainders=tuple(remainders),
                          graph=Graph.from_adjacency(masks))
-
-
-def check_quotient_connected(g: Graph, n: int, removed) -> VerificationReport:
-    """Below the closed-form bound, the layer quotient must stay connected."""
-    t0 = time.perf_counter()
-    quotient = build_quotient(g, n, removed)
-    components = len(connected_components(quotient.graph))
-    computed = {"quotient_components": components, "connected": components == 1}
-    return VerificationReport(
-        check_name="quotient_connected",
-        inputs={"graph6": write_graph6(g), "n": n, "S": sorted(quotient.removed)},
-        computed=computed,
-        verdict=verdict_of(computed["connected"]),
-        elapsed_ms=elapsed_ms_since(t0),
-    )
-
-
-def check_layer_in_component(g: Graph, n: int, removed) -> VerificationReport:
-    """Below the bound, each layer remainder must land in one component of
-    the punctured product (so S cannot split any single layer across parts)."""
-    t0 = time.perf_counter()
-    quotient = build_quotient(g, n, removed)
-    product = direct_product(g, complete_graph(n)).graph
-    kept = [v for v in range(product.vertex_count) if v not in quotient.removed]
-    sub = induced_subgraph(product, kept)
-    component_of = {}
-    for comp_id, comp in enumerate(connected_components(sub)):
-        for v in comp:
-            component_of[kept[v]] = comp_id
-    all_within = True
-    for rem in quotient.remainders:
-        ids = {component_of[v] for v in rem}
-        if len(ids) > 1:
-            all_within = False
-            break
-    computed = {"layers": g.vertex_count, "all_in_one_component": all_within}
-    return VerificationReport(
-        check_name="layer_in_component",
-        inputs={"graph6": write_graph6(g), "n": n, "S": sorted(quotient.removed)},
-        computed=computed,
-        verdict=verdict_of(all_within),
-        elapsed_ms=elapsed_ms_since(t0),
-    )
-
-
-def check_complete_product(m: int, n: int) -> VerificationReport:
-    """kappa(K_m x K_n) against (m-1)(n-1), measured and closed-form."""
-    if not 2 <= m <= n:
-        raise ValueError("complete-product check needs 2 <= m <= n")
-    _require_applicable(n)
-    t0 = time.perf_counter()
-    product = direct_product(complete_graph(m), complete_graph(n)).graph
-    measured = kappa(product)
-    expected = (m - 1) * (n - 1)
-    formula_value = formula_kappa_product(m - 1, m - 1, n).value
-    computed = {
-        "kappa_product": measured,
-        "closed_form": expected,
-        "formula_value": formula_value,
-        "agree": measured == expected == formula_value,
-    }
-    return VerificationReport(
-        check_name="complete_product",
-        inputs={"m": m, "n": n},
-        computed=computed,
-        verdict=verdict_of(computed["agree"]),
-        elapsed_ms=elapsed_ms_since(t0),
-    )
 
 
 def sample_separator(g: Graph, n: int, rng: Random, size_draws: int = 1000) -> frozenset[int]:

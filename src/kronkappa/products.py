@@ -8,12 +8,9 @@ i of G x H is the contiguous block i*n .. i*n + n - 1.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .graphs import Graph, connected_components, min_degree, odd_cycle_status
-from .graphio import write_graph6
-from .reports import VerificationReport, elapsed_ms_since, verdict_of
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -61,58 +58,3 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return ProductGraph(Graph.from_adjacency(adj), g.vertex_count, hn)
-
-
-def check_weichsel(g: Graph, h: Graph) -> VerificationReport:
-    """Connectedness criterion for direct products, checked both ways.
-
-    The product of two nontrivial factors is connected iff both factors are
-    connected and at least one contains an odd cycle; this recomputes each side
-    independently and compares.
-    """
-    if g.vertex_count < 2 or h.vertex_count < 2:
-        raise ValueError("criterion needs nontrivial factors (two or more vertices each)")
-    t0 = time.perf_counter()
-    product_connected = len(connected_components(direct_product(g, h).graph)) == 1
-    factors_connected = (len(connected_components(g)) == 1
-                         and len(connected_components(h)) == 1)
-    some_odd_cycle = (not odd_cycle_status(g).is_bipartite
-                      or not odd_cycle_status(h).is_bipartite)
-    predicted = factors_connected and some_odd_cycle
-    computed = {
-        "product_connected": product_connected,
-        "factors_connected": factors_connected,
-        "odd_cycle_in_some_factor": some_odd_cycle,
-        "predicted_connected": predicted,
-        "agree": predicted == product_connected,
-    }
-    return VerificationReport(
-        check_name="weichsel_iff",
-        inputs={"graph6": write_graph6(g), "graph6_h": write_graph6(h)},
-        computed=computed,
-        verdict=verdict_of(computed["agree"]),
-        elapsed_ms=elapsed_ms_since(t0),
-    )
-
-
-def check_degree_product(g: Graph, h: Graph) -> VerificationReport:
-    """Minimum degree of the product vs the product of minimum degrees."""
-    if g.vertex_count == 0 or h.vertex_count == 0:
-        raise ValueError("minimum degree undefined for empty factors")
-    t0 = time.perf_counter()
-    delta_g = min_degree(g)
-    delta_h = min_degree(h)
-    delta_product = min_degree(direct_product(g, h).graph)
-    computed = {
-        "delta_product": delta_product,
-        "delta_g": delta_g,
-        "delta_h": delta_h,
-        "agree": delta_product == delta_g * delta_h,
-    }
-    return VerificationReport(
-        check_name="degree_product",
-        inputs={"graph6": write_graph6(g), "graph6_h": write_graph6(h)},
-        computed=computed,
-        verdict=verdict_of(computed["agree"]),
-        elapsed_ms=elapsed_ms_since(t0),
-    )

@@ -2,36 +2,29 @@
 
 A sweep walks a family of factors G (exhaustive over all labelled graphs up to
 a size cap, or seeded random samples), and for every G and every requested n
-runs the whole battery: closed form vs oracle connectivity, witness soundness,
-the product connectedness criterion, the minimum-degree identity, deletion
-monotonicity, and the two quotient checks on a sampled candidate separator.
-Reports serialise to JSON lines; reruns with the same config are byte-identical
-because timings are zeroed on the wire by default.
+runs the whole battery from the check table in ``checks``: closed form vs
+oracle connectivity, witness soundness, the product connectedness criterion,
+the minimum-degree identity, deletion monotonicity, and the two quotient
+checks on a sampled candidate separator. One ``InstanceFacts`` serves the
+whole battery of an instance, so G x K_n is built once. Reports serialise to
+JSON lines; reruns with the same config are byte-identical because timings
+are zeroed on the wire by default, and ``checks.rerun_check`` re-verifies any
+line from its inputs alone.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from random import Random
 
-from .connectivity import brute_force_kappa, is_separator, kappa
-from .formula import (
-    check_layer_in_component,
-    check_quotient_connected,
-    formula_kappa_product,
-    sample_separator,
-    witness_cut,
-)
+from .checks import ORACLES, InstanceFacts, run_check
+from .formula import sample_separator
 from .generators import all_labeled_graphs, random_graph
-from .graphio import parse_graph6, write_graph6
-from .graphs import Graph, connected_components, delete_vertex, min_degree
-from .products import check_degree_product, check_weichsel, complete_graph, direct_product
-from .reports import VerificationReport, elapsed_ms_since, verdict_of
+from .graphs import Graph
+from .reports import VerificationReport
 
 MODES = ("exhaustive", "random")
-ORACLES = ("brute", "flow", "both")
 
 #: exhaustive mode enumerates 2^C(m,2) graphs per size; 7 is the ceiling
 EXHAUSTIVE_VERTEX_CAP = 7
@@ -103,12 +96,10 @@ class SweepConfig:
     def from_mapping(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise ValueError(f"sweep config must be a JSON object, got {data!r}")
-        known = {"max_vertices", "n_values", "mode", "sample_count",
-                 "seed", "oracle", "edge_probability"}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        missing = {"max_vertices", "n_values", "mode"} - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(**data)
@@ -143,40 +134,7 @@ def run_sweep(config: SweepConfig) -> list[VerificationReport]:
 def theorem_checks(g: Graph, n: int, *, oracle: str = "flow") -> list[VerificationReport]:
     """Closed form vs measured connectivity, plus witness soundness where a
     witness is defined (connected factor on >= 2 vertices)."""
-    if oracle not in ORACLES:
-        raise ValueError(f"oracle must be one of {ORACLES}, got {oracle!r}")
-    out = []
-    base = {"graph6": write_graph6(g), "n": n}
-    product = direct_product(g, complete_graph(n)).graph
-
-    t0 = time.perf_counter()
-    formula_value = formula_kappa_product(kappa(g), min_degree(g), n).value
-    computed = {"formula_value": formula_value}
-    ok = True
-    if oracle in ("flow", "both"):
-        computed["kappa_flow"] = kappa(product)
-        ok = ok and computed["kappa_flow"] == formula_value
-    if oracle in ("brute", "both"):
-        computed["kappa_brute"] = brute_force_kappa(product, cap=product.vertex_count)
-        ok = ok and computed["kappa_brute"] == formula_value
-    computed["agree"] = ok
-    out.append(VerificationReport("theorem_equality", dict(base), computed,
-                                  verdict_of(ok), elapsed_ms_since(t0)))
-
-    if g.vertex_count >= 2 and len(connected_components(g)) == 1:
-        t0 = time.perf_counter()
-        witness = witness_cut(g, n)
-        separates = is_separator(product, witness.vertices)
-        sound = len(witness.vertices) == formula_value and separates
-        computed = {
-            "witness_size": len(witness.vertices),
-            "formula_value": formula_value,
-            "separates": separates,
-            "agree": sound,
-        }
-        out.append(VerificationReport("witness_soundness", dict(base), computed,
-                                      verdict_of(sound), elapsed_ms_since(t0)))
-    return out
+    return _theorem_reports(InstanceFacts(g, n), oracle)
 
 
 def lemma_checks(g: Graph, n: int, *, seed: int = 0,
@@ -185,98 +143,38 @@ def lemma_checks(g: Graph, n: int, *, seed: int = 0,
     degree identity, deletion monotonicity, and (for connected factors with
     n >= 3) quotient checks on ``separator_samples`` sampled candidate
     separators drawn from Random(seed)."""
-    out = []
-    m = g.vertex_count
-    g6 = write_graph6(g)
-    base = {"graph6": g6, "n": n}
-    k_n = complete_graph(n)
-
-    if m >= 2:
-        out.append(replace(check_weichsel(g, k_n), inputs=dict(base)))
-    out.append(replace(check_degree_product(g, k_n), inputs=dict(base)))
-
-    if m >= 2:
-        t0 = time.perf_counter()
-        kappa_g = kappa(g)
-        delta_g = min_degree(g)
-        holds = True
-        for u in range(m):
-            smaller, _ = delete_vertex(g, u)
-            if min_degree(smaller) < delta_g - 1 or kappa(smaller) < kappa_g - 1:
-                holds = False
-                break
-        computed = {"kappa_g": kappa_g, "delta_g": delta_g, "all_hold": holds}
-        out.append(VerificationReport("deletion_monotonicity", dict(base), computed,
-                                      verdict_of(holds), elapsed_ms_since(t0)))
-
-    if separator_samples > 0 and n >= 3 and kappa(g) > 0:
-        rng = Random(seed)
-        for _ in range(separator_samples):
-            chosen = sample_separator(g, n, rng)
-            with_s = {"graph6": g6, "n": n, "S": sorted(chosen), "seed": seed}
-            out.append(replace(check_quotient_connected(g, n, chosen), inputs=with_s))
-            out.append(replace(check_layer_in_component(g, n, chosen), inputs=with_s))
-    return out
+    return _lemma_reports(InstanceFacts(g, n), seed, separator_samples)
 
 
 def instance_checks(g: Graph, n: int, *, oracle: str = "flow",
                     seed: int = 0) -> list[VerificationReport]:
     """The full battery for one factor and one complete-factor size."""
-    return (theorem_checks(g, n, oracle=oracle)
-            + lemma_checks(g, n, seed=seed, separator_samples=1))
+    facts = InstanceFacts(g, n)
+    return _theorem_reports(facts, oracle) + _lemma_reports(facts, seed, 1)
 
 
-def rerun_check(report: VerificationReport) -> str:
-    """Recompute a report's verdict from its serialised inputs alone.
+def _theorem_reports(f: InstanceFacts, oracle: str) -> list[VerificationReport]:
+    base = {"graph6": f.graph6, "n": f.n}
+    out = [run_check("theorem_equality", f, dict(base), oracle=oracle)]
+    if f.g.vertex_count >= 2 and f.connected:
+        out.append(run_check("witness_soundness", f, dict(base)))
+    return out
 
-    Supports every check_name the sweep battery emits; raises ValueError for
-    anything else.
-    """
-    name = report.check_name
-    ins = report.inputs
 
-    if name == "theorem_equality":
-        g = parse_graph6(ins["graph6"])
-        n = ins["n"]
-        value = formula_kappa_product(kappa(g), min_degree(g), n).value
-        product = direct_product(g, complete_graph(n)).graph
-        ok = True
-        if "kappa_flow" in report.computed:
-            ok = ok and kappa(product) == value
-        if "kappa_brute" in report.computed:
-            ok = ok and brute_force_kappa(product, cap=product.vertex_count) == value
-        if not ("kappa_flow" in report.computed or "kappa_brute" in report.computed):
-            ok = kappa(product) == value
-        return verdict_of(ok)
-    if name == "witness_soundness":
-        g = parse_graph6(ins["graph6"])
-        n = ins["n"]
-        value = formula_kappa_product(kappa(g), min_degree(g), n).value
-        witness = witness_cut(g, n)
-        product = direct_product(g, complete_graph(n)).graph
-        return verdict_of(len(witness.vertices) == value
-                          and is_separator(product, witness.vertices))
-    if name == "weichsel_iff":
-        g = parse_graph6(ins["graph6"])
-        h = parse_graph6(ins["graph6_h"]) if "graph6_h" in ins else complete_graph(ins["n"])
-        return check_weichsel(g, h).verdict
-    if name == "degree_product":
-        g = parse_graph6(ins["graph6"])
-        h = parse_graph6(ins["graph6_h"]) if "graph6_h" in ins else complete_graph(ins["n"])
-        return check_degree_product(g, h).verdict
-    if name == "deletion_monotonicity":
-        g = parse_graph6(ins["graph6"])
-        kappa_g = kappa(g)
-        delta_g = min_degree(g)
-        for u in range(g.vertex_count):
-            smaller, _ = delete_vertex(g, u)
-            if min_degree(smaller) < delta_g - 1 or kappa(smaller) < kappa_g - 1:
-                return "fail"
-        return "pass"
-    if name == "quotient_connected":
-        g = parse_graph6(ins["graph6"])
-        return check_quotient_connected(g, ins["n"], ins["S"]).verdict
-    if name == "layer_in_component":
-        g = parse_graph6(ins["graph6"])
-        return check_layer_in_component(g, ins["n"], ins["S"]).verdict
-    raise ValueError(f"cannot rerun unknown check {name!r}")
+def _lemma_reports(f: InstanceFacts, seed: int,
+                   separator_samples: int) -> list[VerificationReport]:
+    base = {"graph6": f.graph6, "n": f.n}
+    out = []
+    if f.g.vertex_count >= 2:
+        out.append(run_check("weichsel_iff", f, dict(base)))
+    out.append(run_check("degree_product", f, dict(base)))
+    if f.g.vertex_count >= 2:
+        out.append(run_check("deletion_monotonicity", f, dict(base)))
+    if separator_samples > 0 and f.n >= 3 and f.kappa_g > 0:
+        rng = Random(seed)
+        for _ in range(separator_samples):
+            chosen = sample_separator(f.g, f.n, rng)
+            with_s = {**base, "S": sorted(chosen), "seed": seed}
+            out.append(run_check("quotient_connected", f, with_s, S=chosen))
+            out.append(run_check("layer_in_component", f, dict(with_s), S=chosen))
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from kronkappa import VerificationReport
+from kronkappa import VerificationReport, complete_graph, write_graph6
 from kronkappa.cli import _emit_reports, main
 
 
@@ -85,6 +86,16 @@ def test_verify_theorem_oracle_both(capsys, p3_file):
     assert code == 0
     equality = json.loads(out.splitlines()[0])
     assert {"kappa_flow", "kappa_brute"} <= set(equality["computed"])
+
+
+def test_verify_theorem_brute_refuses_over_budget(capsys, tmp_path):
+    path = tmp_path / "k7.g6"
+    path.write_text(write_graph6(complete_graph(7)) + "\n")
+    code, out, err = run_cli(capsys, "verify-theorem", str(path), "-n", "3",
+                             "--oracle", "brute")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_verify_theorem_refuses_n2_without_direct(capsys, p3_file):
@@ -235,3 +246,36 @@ def test_console_script_installed():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+# sha256 of stdout, frozen from the reference implementation: any drift in the
+# JSON-lines wire format, the report order or the seeded draws changes them
+GOLDEN_RUNS = {
+    "sweep-exhaustive": (
+        {"max_vertices": 3, "n_values": [3], "mode": "exhaustive",
+         "seed": 5, "oracle": "both"},
+        "55da7ade0474d235399dcb9d9c28067da0eae573f98175c9ee02727cb171a4a1"),
+    "sweep-random": (
+        {"max_vertices": 5, "n_values": [3, 4], "mode": "random",
+         "sample_count": 6, "seed": 31},
+        "9b1f3cb1e29ea5f7add54230700b66cfe7793dd1da2569b41789cae30587d663"),
+    "verify-lemmas": (
+        "@\nBg\nC`\nDhc\nC~\nDxK\n",
+        "ee6435b9d677241d29466a2ea498943a290098da7f3529b1008e23eb1c29a3c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_stdout_golden_digest(capsys, tmp_path, name):
+    source, digest = GOLDEN_RUNS[name]
+    if isinstance(source, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(source))
+        argv = ("sweep", "--config", str(path))
+    else:
+        path = tmp_path / "graphs.g6"
+        path.write_text(source)
+        argv = ("verify-lemmas", str(path), "-n", "3", "--samples", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

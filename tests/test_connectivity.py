@@ -71,6 +71,13 @@ def test_brute_force_cap():
     assert brute_force_kappa(g, cap=13) == 12
 
 
+def test_brute_force_budget():
+    # K7 x K3 has 21 vertices of degree 12: up to 1,695,222 deletion subsets
+    product = direct_product(complete_graph(7), complete_graph(3)).graph
+    with pytest.raises(ValueError, match="budget"):
+        brute_force_kappa(product, cap=product.vertex_count)
+
+
 def test_brute_force_past_64_vertices():
     path = build_graph(70, [(i, i + 1) for i in range(69)])
     assert brute_force_kappa(path, cap=70) == 1

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -6,6 +8,10 @@ from kronkappa import (
     SweepConfig,
     VerificationReport,
     build_graph,
+    check_complete_product,
+    check_degree_product,
+    check_weichsel,
+    complete_graph,
     instance_checks,
     instance_seed,
     lemma_checks,
@@ -14,6 +20,8 @@ from kronkappa import (
     run_sweep,
     theorem_checks,
 )
+from kronkappa.checks import CHECKS
+from kronkappa.cli import main
 
 
 def small_config(**overrides):
@@ -122,8 +130,31 @@ def test_random_sweep_draws_requested_count():
     assert len([r for r in reports if r.check_name == "theorem_equality"]) == 5
 
 
-def test_rerun_check_reproduces_verdicts():
-    for report in run_sweep(small_config()):
+@pytest.fixture(scope="module")
+def emitted_reports():
+    """Reports of every check the package emits: a sweep, the public checks
+    on a second factor H (their inputs carry graph6_h), a brute-force-only
+    theorem battery and the verify-theorem --direct record."""
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    reports = run_sweep(small_config())
+    reports += [check_weichsel(p3, complete_graph(3)), check_weichsel(c4, c4),
+                check_degree_product(p3, c4), check_complete_product(3, 4)]
+    reports += theorem_checks(c4, 4, oracle="brute")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify-theorem", "--exhaustive", "3", "-n", "2", "--direct"]) == 0
+    reports += [VerificationReport.from_json(line) for line in out.getvalue().splitlines()]
+    return reports
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_rerun_check_reproduces_verdicts(emitted_reports, name):
+    reports = [r for r in emitted_reports if r.check_name == name]
+    assert reports
+    if name in ("weichsel_iff", "degree_product"):
+        assert any("graph6_h" in r.inputs for r in reports)
+    for report in reports:
         assert rerun_check(report) == report.verdict
 
 
