@@ -107,7 +107,7 @@ def _augmenting_path(rows, s, t, used, prv, parent):
     return False
 
 
-def kappa_from_matrix(rows):
+def kappa_from_matrix(rows, floor=None):
     """Exact vertex connectivity of the graph whose adjacency matrix is
     ``rows``, packed as one int per row (bit j of rows[i] set when i ~ j).
 
@@ -115,22 +115,31 @@ def kappa_from_matrix(rows):
     its non-neighbours and between non-adjacent pairs of its neighbourhood;
     every minimum cut is seen by one of those pairs. Each flow stops at the
     best value found so far.
+
+    ``floor`` is for callers that know kappa >= floor: the result is then
+    min(kappa, floor + 1). Flows stop at floor + 1, and the search ends as
+    soon as the minimum degree or one flow reaches floor.
     """
     n = len(rows)
     if n <= 1:
         return 0
     degrees = [r.bit_count() for r in rows]
-    best = min(degrees)
-    if best == n - 1:
-        return n - 1
+    delta = min(degrees)
+    best = delta if floor is None else min(delta, floor + 1)
+    if delta == n - 1 or best == floor:
+        return best
     if not _still_connected(rows, (1 << n) - 1):
         return 0
+    if best == 1:
+        return 1  # connected, so no flow is below 1
 
-    v_min = degrees.index(best)
+    v_min = degrees.index(delta)
     around = rows[v_min]
     for u in range(n):
         if u != v_min and not around >> u & 1:
             best = min(best, _disjoint_paths(rows, v_min, u, best))
+            if best == floor:
+                return best
     m = around
     while m:
         low = m & -m
@@ -141,6 +150,8 @@ def kappa_from_matrix(rows):
             y_bit = rest & -rest
             rest ^= y_bit
             best = min(best, _disjoint_paths(rows, x, y_bit.bit_length() - 1, best))
+            if best == floor:
+                return best
     return best
 
 

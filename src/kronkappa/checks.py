@@ -122,14 +122,15 @@ def _deletion_monotonicity(f: InstanceFacts):
 
 def _quotient_connected(f: InstanceFacts, S):
     """Below the closed-form bound, the layer quotient must stay connected."""
-    components = len(connected_components(build_quotient(f.g, f.n, S).graph))
+    quotient = build_quotient(f.g, f.n, S, kappa_g=f.kappa_g)
+    components = len(connected_components(quotient.graph))
     return {"quotient_components": components, "connected": components == 1}, components == 1
 
 
 def _layer_in_component(f: InstanceFacts, S):
     """Below the bound, each layer remainder must land in one component of
     the punctured product (so S cannot split any single layer across parts)."""
-    quotient = build_quotient(f.g, f.n, S)
+    quotient = build_quotient(f.g, f.n, S, kappa_g=f.kappa_g)
     kept = [v for v in range(f.product.vertex_count) if v not in quotient.removed]
     component_of = {}
     for comp_id, comp in enumerate(connected_components(induced_subgraph(f.product, kept))):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from ._kernels import _still_connected, brute_force_kappa_bits, kappa_from_matrix
@@ -61,6 +60,14 @@ def min_vertex_cut(g: Graph) -> CutWitness:
 
     For complete graphs (where no removal disconnects) the convention is all
     vertices but the last, leaving a single vertex.
+
+    With k = kappa(G), the cut grows from a prefix P that lies in some
+    minimum cut, so kappa(G - P) = k - |P|. Vertices are tried in increasing
+    order, and v joins P exactly when kappa(G - P - v) = k - |P| - 1, which
+    is when some minimum cut holds P and v. A vertex turned down there is in
+    no minimum cut through a later prefix either, so the result is the
+    lexicographically smallest. That is at most n connectivity tests, and
+    each only has to tell k - |P| - 1 from anything larger.
     """
     n = g.vertex_count
     if n == 0:
@@ -69,12 +76,22 @@ def min_vertex_cut(g: Graph) -> CutWitness:
     if k == n - 1:
         # kappa == n-1 happens exactly for complete graphs (K1 included)
         return CutWitness(frozenset(range(n - 1)), "trivial")
-    for candidate in combinations(range(n), k):
-        if is_separator(g, candidate):
-            left = n - k
-            verdict = "trivial" if left == 1 else "disconnected"
-            return CutWitness(frozenset(candidate), verdict)
-    raise AssertionError("no separator of size kappa found; kappa is wrong")
+    rows = g._adj  # G - P, relabelled in order
+    chosen = []
+    for v in range(n):
+        if len(chosen) == k:
+            break
+        at = v - len(chosen)  # every vertex of P is below v
+        below = (1 << at) - 1
+        rest = [(r & below) | (r >> 1 & ~below) for r in rows[:at] + rows[at + 1:]]
+        target = k - len(chosen) - 1
+        if kappa_from_matrix(rest, floor=target) == target:
+            chosen.append(v)
+            rows = rest
+    if not is_separator(g, chosen):
+        raise AssertionError("chosen vertices do not separate the graph; kappa is wrong")
+    # k < n - 1 leaves two or more vertices
+    return CutWitness(frozenset(chosen), "disconnected")
 
 
 def brute_force_kappa(g: Graph, cap: int = BRUTE_FORCE_CAP) -> int:

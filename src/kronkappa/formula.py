@@ -126,11 +126,13 @@ class QuotientGraph:
     graph: Graph
 
 
-def build_quotient(g: Graph, n: int, removed) -> QuotientGraph:
+def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> QuotientGraph:
     """Validates that S is small enough (|S| < min(n*kappa, (n-1)*delta)) and
-    leaves every layer nonempty, then contracts layers."""
+    leaves every layer nonempty, then contracts layers. A caller that already
+    holds kappa(G) passes it as ``kappa_g``."""
     _require_applicable(n)
-    kappa_g = kappa(g)
+    if kappa_g is None:
+        kappa_g = kappa(g)
     if kappa_g == 0:
         raise ValueError("quotient needs a connected factor with kappa >= 1")
     bound = min(n * kappa_g, (n - 1) * min_degree(g))
@@ -161,15 +163,18 @@ def build_quotient(g: Graph, n: int, removed) -> QuotientGraph:
                          graph=Graph.from_adjacency(masks))
 
 
-def sample_separator(g: Graph, n: int, rng: Random, size_draws: int = 1000) -> frozenset[int]:
+def sample_separator(g: Graph, n: int, rng: Random, size_draws: int = 1000, *,
+                     kappa_g: int | None = None) -> frozenset[int]:
     """Random candidate separator for the quotient checks.
 
     Draws |S| uniformly from 0 .. bound-1 and S uniformly among product vertex
     sets of that size, rejecting draws that empty a layer (after 100 rejections
-    the size is redrawn).
+    the size is redrawn). A caller that already holds kappa(G) passes it as
+    ``kappa_g``.
     """
     _require_applicable(n)
-    kappa_g = kappa(g)
+    if kappa_g is None:
+        kappa_g = kappa(g)
     if kappa_g == 0:
         raise ValueError("no candidate separators exist for a factor with kappa = 0")
     bound = min(n * kappa_g, (n - 1) * min_degree(g))

@@ -173,7 +173,7 @@ def _lemma_reports(f: InstanceFacts, seed: int,
     if separator_samples > 0 and f.n >= 3 and f.kappa_g > 0:
         rng = Random(seed)
         for _ in range(separator_samples):
-            chosen = sample_separator(f.g, f.n, rng)
+            chosen = sample_separator(f.g, f.n, rng, kappa_g=f.kappa_g)
             with_s = {**base, "S": sorted(chosen), "seed": seed}
             out.append(run_check("quotient_connected", f, with_s, S=chosen))
             out.append(run_check("layer_in_component", f, dict(with_s), S=chosen))

@@ -62,16 +62,21 @@ def ref_is_separator(g, removed):
     return len(ref_components(len(kept), edges)) != 1
 
 
-def ref_kappa(g):
-    """Subset-deletion connectivity; only for tiny graphs."""
+def ref_min_vertex_cut(g):
+    """First separator in a walk over subsets by size, each size in
+    lexicographic order; only for tiny graphs. On a complete graph that is
+    all vertices but the last, which leaves one vertex."""
     n = g.vertex_count
-    if n == 1:
-        return 0
     for k in range(n):
         for removed in combinations(range(n), k):
             if ref_is_separator(g, removed):
-                return k
-    return n - 1
+                return frozenset(removed)
+    raise ValueError("no separator in the empty graph")
+
+
+def ref_kappa(g):
+    """Subset-deletion connectivity; only for tiny graphs."""
+    return len(ref_min_vertex_cut(g))
 
 
 def ref_product_edges(g, h):

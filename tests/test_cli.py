@@ -249,33 +249,47 @@ def test_console_script_installed():
 
 
 # sha256 of stdout, frozen from the reference implementation: any drift in the
-# JSON-lines wire format, the report order or the seeded draws changes them
+# JSON-lines wire format, the report order, the seeded draws or the chosen
+# separators changes them. Each run is an argv in which INPUT names a file
+# holding the source: a sweep config (a dict) or graph6 records.
+INPUT = "INPUT"
+# C4, P3, C5, two triangles joined by an edge, K4, K_{2,3}
+WITNESS_FACTORS = "Cl\nBg\nDhc\nExCW\nC~\nD]o\n"
 GOLDEN_RUNS = {
     "sweep-exhaustive": (
+        ("sweep", "--config", INPUT),
         {"max_vertices": 3, "n_values": [3], "mode": "exhaustive",
          "seed": 5, "oracle": "both"},
         "55da7ade0474d235399dcb9d9c28067da0eae573f98175c9ee02727cb171a4a1"),
     "sweep-random": (
+        ("sweep", "--config", INPUT),
         {"max_vertices": 5, "n_values": [3, 4], "mode": "random",
          "sample_count": 6, "seed": 31},
         "9b1f3cb1e29ea5f7add54230700b66cfe7793dd1da2569b41789cae30587d663"),
     "verify-lemmas": (
+        ("verify-lemmas", INPUT, "-n", "3", "--samples", "3"),
         "@\nBg\nC`\nDhc\nC~\nDxK\n",
         "ee6435b9d677241d29466a2ea498943a290098da7f3529b1008e23eb1c29a3c1"),
+    "witness": (
+        ("witness", INPUT, "-n", "3"), WITNESS_FACTORS,
+        "62681f0aad19f21185b7d4bb944b4bbf8bf02ea903493cbfc2165c3f2a411efb"),
+    "witness-direct": (
+        ("witness", INPUT, "-n", "3", "--direct"), WITNESS_FACTORS,
+        "48b935226e392e4983c150b1d89fa8a1144c12a0cc2b23078688518fdd9e4f91"),
+    "witness-direct-n2": (
+        ("witness", INPUT, "-n", "2", "--direct"), WITNESS_FACTORS,
+        "aa106a0d532e0d8c417f6f55287a9597696ce0326845688b1eb3ca6ded1e6e5e"),
+    "witness-direct-n4": (
+        ("witness", INPUT, "-n", "4", "--direct"), WITNESS_FACTORS,
+        "4085d9019599dd8ef25430edefa70479a1ea751223c4640c0311f015de23bb5c"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_stdout_golden_digest(capsys, tmp_path, name):
-    source, digest = GOLDEN_RUNS[name]
-    if isinstance(source, dict):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(source))
-        argv = ("sweep", "--config", str(path))
-    else:
-        path = tmp_path / "graphs.g6"
-        path.write_text(source)
-        argv = ("verify-lemmas", str(path), "-n", "3", "--samples", "3")
-    code, out, _ = run_cli(capsys, *argv)
+    argv, source, digest = GOLDEN_RUNS[name]
+    path = tmp_path / "input"
+    path.write_text(json.dumps(source) if isinstance(source, dict) else source)
+    code, out, _ = run_cli(capsys, *(str(path) if arg == INPUT else arg for arg in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
 
 from kronkappa import (
+    all_labeled_graphs,
     brute_force_kappa,
     build_graph,
     complete_graph,
@@ -18,9 +19,9 @@ from kronkappa import (
     random_connected_graph,
     random_graph,
 )
-from kronkappa._kernels import _disjoint_paths
+from kronkappa._kernels import _disjoint_paths, kappa_from_matrix
 
-from conftest import graph_strategy, ref_is_separator, ref_kappa
+from conftest import graph_strategy, ref_is_separator, ref_kappa, ref_min_vertex_cut
 
 PETERSEN = "IheA@GUAo"
 
@@ -134,6 +135,21 @@ def test_disjoint_paths_match_networkx_on_every_pair():
                         == local_node_connectivity(reference, s, t)), (g, s, t)
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_kappa_floor_returns_capped_connectivity(seed):
+    """With kappa >= floor known, the kernel returns min(kappa, floor + 1)."""
+    rng = Random(seed)
+    if seed % 3:
+        g = random_graph(rng.randint(2, 16), rng.choice((0.2, 0.4, 0.6, 0.8, 1.0)), seed)
+    else:
+        factor = random_connected_graph(rng.randint(3, 6), rng.choice((0.4, 0.7)), seed)
+        g = direct_product(factor, complete_graph(rng.choice((3, 4)))).graph
+    rows = [g.adjacency_mask(v) for v in range(g.vertex_count)]
+    k = nx.node_connectivity(_to_networkx(g))
+    for floor in range(k + 1):
+        assert kappa_from_matrix(rows, floor) == min(k, floor + 1), (seed, floor)
+
+
 def _chain(*vertices):
     return list(zip(vertices, vertices[1:]))
 
@@ -229,3 +245,28 @@ def test_min_cut_is_valid_minimum_and_lex_first(g):
         if ref_is_separator(g, candidate):
             assert frozenset(candidate) == cut.vertices
             break
+
+
+def test_min_cut_matches_subset_walk_exhaustively():
+    """Every labelled graph on up to 5 vertices, and every G x K_n with a
+    factor on up to 3 vertices and n in {3, 4}, against the subset walk."""
+    graphs = list(all_labeled_graphs(5)) + [
+        direct_product(factor, complete_graph(n)).graph
+        for factor in all_labeled_graphs(3) for n in (3, 4)]
+    for g in graphs:
+        expected = ref_min_vertex_cut(g)
+        cut = min_vertex_cut(g)
+        assert cut.vertices == expected, g.edges
+        complete = len(expected) == g.vertex_count - 1
+        assert cut.residual_verdict == ("trivial" if complete else "disconnected")
+
+
+def test_min_cut_of_a_100_vertex_product():
+    """C20 with chords i ~ i+2 is 4-regular with kappa 4, so its product with
+    K5 has 100 vertices and kappa 16: far beyond a walk over 16-subsets."""
+    square = build_graph(20, [(i, (i + d) % 20) for i in range(20) for d in (1, 2)])
+    product = direct_product(square, complete_graph(5)).graph
+    cut = min_vertex_cut(product)
+    assert len(cut) == kappa(product) == 16
+    assert is_separator(product, cut.vertices)
+    assert cut.residual_verdict == "disconnected"

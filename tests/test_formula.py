@@ -163,6 +163,18 @@ def test_quotient_validation_errors():
         build_quotient(c4, 2, [])
 
 
+def test_quotient_bound_uses_factor_kappa():
+    # two triangles joined by an edge: kappa 1 < delta 2, so with n = 3 the
+    # bound is min(3*1, 2*2) = 3, not 4
+    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    for check in (check_quotient_connected, check_layer_in_component):
+        with pytest.raises(ValueError, match="below"):
+            check(g, 3, [0, 3, 6])
+    with pytest.raises(ValueError, match="below"):
+        build_quotient(g, 3, [0, 3, 6], kappa_g=1)
+    assert sample_separator(g, 3, Random(5), kappa_g=1) == sample_separator(g, 3, Random(5))
+
+
 def test_quotient_reports_pass_on_valid_sample():
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     r1 = check_quotient_connected(c4, 3, [0, 5, 7])
