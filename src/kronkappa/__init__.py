@@ -19,7 +19,6 @@ from .checks import (
 )
 from .connectivity import (
     BRUTE_FORCE_BUDGET,
-    BRUTE_FORCE_CAP,
     CutWitness,
     brute_force_kappa,
     is_separator,
@@ -53,7 +52,6 @@ from .graphio import (
 from .graphs import (
     Graph,
     OddCycleStatus,
-    build_graph,
     connected_components,
     delete_vertex,
     induced_subgraph,
@@ -79,7 +77,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BRUTE_FORCE_BUDGET",
-    "BRUTE_FORCE_CAP",
     "CutWitness",
     "FormulaInapplicable",
     "FormulaResult",
@@ -92,7 +89,6 @@ __all__ = [
     "VerificationReport",
     "all_labeled_graphs",
     "brute_force_kappa",
-    "build_graph",
     "build_quotient",
     "check_complete_product",
     "check_degree_product",

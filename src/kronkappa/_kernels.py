@@ -155,35 +155,50 @@ def kappa_from_matrix(rows, floor=None):
     return best
 
 
-def _still_connected(rows, rest):
-    if rest & (rest - 1) == 0:
-        return False  # one vertex left, counts as trivialised, not connected
-    reach = frontier = rest & -rest
+def _reach(rows, start, within):
+    """The part of ``within`` reachable from the mask ``start`` (a subset of
+    ``within``) along edges that stay inside ``within``."""
+    reach = frontier = start
     while frontier:
         grown = 0
         while frontier:
             low = frontier & -frontier
             grown |= rows[low.bit_length() - 1]
             frontier ^= low
-        frontier = grown & rest & ~reach
+        frontier = grown & within & ~reach
         reach |= frontier
-    return reach == rest
+    return reach
+
+
+def _still_connected(rows, rest):
+    if rest & (rest - 1) == 0:
+        return False  # one vertex left, counts as trivialised, not connected
+    return _reach(rows, rest & -rest, rest) == rest
+
+
+def _drop(rows, v):
+    """``rows`` with vertex v deleted; the labels above v shift down by one."""
+    below = (1 << v) - 1
+    return [(r & below) | (r >> 1 & ~below) for r in rows[:v] + rows[v + 1:]]
 
 
 def brute_force_kappa_bits(rows):
     """Least k for which some k-subset removal disconnects or trivialises the
     graph whose adjacency matrix is ``rows``, packed as one int per row.
 
-    k-subsets are walked in lexicographic order with Gosper's trick.
+    k-subsets are walked in lexicographic order with Gosper's trick. Below
+    k = n - 1 every residual keeps two or more vertices, so it is
+    disconnected exactly when its lowest vertex does not reach all of it.
     """
     n = len(rows)
     full = (1 << n) - 1
     if not _still_connected(rows, full):
         return 0
-    for k in range(1, n):
+    for k in range(1, n - 1):
         subset = (1 << k) - 1
         while subset <= full:
-            if not _still_connected(rows, full & ~subset):
+            rest = full & ~subset
+            if _reach(rows, rest & -rest, rest) != rest:
                 return k
             low = subset & -subset
             ripple = subset + low

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from functools import cached_property
 
+from ._kernels import _reach
 from .connectivity import brute_force_kappa, is_separator, kappa
 from .formula import FormulaResult, build_quotient, formula_kappa_product, witness_vertices
 from .graphio import parse_graph6, write_graph6
@@ -20,7 +21,6 @@ from .graphs import (
     Graph,
     connected_components,
     delete_vertex,
-    induced_subgraph,
     min_degree,
     odd_cycle_status,
 )
@@ -32,9 +32,10 @@ ORACLES = ("brute", "flow", "both")
 
 class InstanceFacts:
     """One instance's facts: the factor G with its graph6 record, kappa(G),
-    delta(G), connectedness and bipartiteness, and a second factor H, which
-    is K_n unless given. The product G x H is built on first use and kept,
-    so the checks of one instance share it.
+    delta(G) and bipartiteness, and a second factor H, which is K_n unless
+    given. The product G x H is built on first use and kept, so the checks of
+    one instance share it. A G on two or more vertices is connected exactly
+    when kappa(G) > 0.
     """
 
     def __init__(self, g: Graph, n: int | None = None, h: Graph | None = None):
@@ -44,7 +45,6 @@ class InstanceFacts:
         self.graph6 = write_graph6(g)
         self.kappa_g = kappa(g)
         self.delta_g = min_degree(g)
-        self.connected = len(connected_components(g)) == 1
         self.bipartite = odd_cycle_status(g).is_bipartite
 
     @cached_property
@@ -65,7 +65,7 @@ def _theorem_equality(f: InstanceFacts, oracle: str = "flow"):
     if oracle in ("flow", "both"):
         computed["kappa_flow"] = kappa(f.product)
     if oracle in ("brute", "both"):
-        computed["kappa_brute"] = brute_force_kappa(f.product, cap=f.product.vertex_count)
+        computed["kappa_brute"] = brute_force_kappa(f.product)
     computed["agree"] = all(computed.get(key, value) == value
                             for key in ("kappa_flow", "kappa_brute"))
     return computed, computed["agree"]
@@ -87,7 +87,7 @@ def _weichsel_iff(f: InstanceFacts):
     if f.g.vertex_count < 2 or f.h.vertex_count < 2:
         raise ValueError("criterion needs nontrivial factors (two or more vertices each)")
     product_connected = len(connected_components(f.product)) == 1
-    factors_connected = f.connected and len(connected_components(f.h)) == 1
+    factors_connected = f.kappa_g > 0 and len(connected_components(f.h)) == 1
     some_odd_cycle = not f.bipartite or not odd_cycle_status(f.h).is_bipartite
     predicted = factors_connected and some_odd_cycle
     computed = {
@@ -131,12 +131,21 @@ def _layer_in_component(f: InstanceFacts, S):
     """Below the bound, each layer remainder must land in one component of
     the punctured product (so S cannot split any single layer across parts)."""
     quotient = build_quotient(f.g, f.n, S, kappa_g=f.kappa_g)
-    kept = [v for v in range(f.product.vertex_count) if v not in quotient.removed]
-    component_of = {}
-    for comp_id, comp in enumerate(connected_components(induced_subgraph(f.product, kept))):
-        for v in comp:
-            component_of[kept[v]] = comp_id
-    all_within = all(len({component_of[v] for v in rem}) == 1 for rem in quotient.remainders)
+    rows, n = f.product._adj, f.n
+    kept = (1 << len(rows)) - 1
+    for v in quotient.removed:
+        kept &= ~(1 << v)
+    component = 0  # the component reached last
+    all_within = True
+    for i in range(f.g.vertex_count):
+        # layer i is product vertices i*n .. i*n + n - 1; build_quotient
+        # has checked that S leaves each one nonempty
+        remainder = kept & (((1 << n) - 1) << (i * n))
+        if not remainder & component:
+            component = _reach(rows, remainder & -remainder, kept)
+        if remainder & ~component:
+            all_within = False
+            break
     return {"layers": f.g.vertex_count, "all_in_one_component": all_within}, all_within
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .checks import ORACLES, InstanceFacts, run_check
 from .connectivity import kappa, min_vertex_cut
-from .formula import FormulaInapplicable, witness_cut
+from .formula import FormulaInapplicable, _require_applicable, witness_cut
 from .generators import all_labeled_graphs
 from .graphio import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .graphs import Graph
@@ -56,13 +56,10 @@ def _emit_reports(reports: list[VerificationReport], timings: bool) -> int:
 
 
 def _refuse_small_n(n_values, direct: bool) -> None:
-    bad = [n for n in n_values if n < 3]
-    if bad and not direct:
-        raise FormulaInapplicable(
-            f"n={bad[0]}: the closed form needs n >= 3 (a bipartite factor "
-            "makes the K_2 product disconnected)")
     for n in n_values:
-        if n < 2:
+        if not direct:
+            _require_applicable(n)
+        elif n < 2:
             raise ValueError(f"complete factor needs at least 2 vertices, got n={n}")
 
 

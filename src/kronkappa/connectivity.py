@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from ._kernels import _still_connected, brute_force_kappa_bits, kappa_from_matrix
+from ._kernels import _drop, _still_connected, brute_force_kappa_bits, kappa_from_matrix
 from .graphs import Graph, min_degree
-
-#: default vertex cap for the subset-enumeration oracle
-BRUTE_FORCE_CAP = 12
 
 #: most deletion subsets the oracle may have to try, bounded before it starts
 BRUTE_FORCE_BUDGET = 1_000_000
@@ -60,14 +57,6 @@ def min_vertex_cut(g: Graph) -> CutWitness:
 
     For complete graphs (where no removal disconnects) the convention is all
     vertices but the last, leaving a single vertex.
-
-    With k = kappa(G), the cut grows from a prefix P that lies in some
-    minimum cut, so kappa(G - P) = k - |P|. Vertices are tried in increasing
-    order, and v joins P exactly when kappa(G - P - v) = k - |P| - 1, which
-    is when some minimum cut holds P and v. A vertex turned down there is in
-    no minimum cut through a later prefix either, so the result is the
-    lexicographically smallest. That is at most n connectivity tests, and
-    each only has to tell k - |P| - 1 from anything larger.
     """
     n = g.vertex_count
     if n == 0:
@@ -76,38 +65,49 @@ def min_vertex_cut(g: Graph) -> CutWitness:
     if k == n - 1:
         # kappa == n-1 happens exactly for complete graphs (K1 included)
         return CutWitness(frozenset(range(n - 1)), "trivial")
-    rows = g._adj  # G - P, relabelled in order
-    chosen = []
-    for v in range(n):
-        if len(chosen) == k:
-            break
-        at = v - len(chosen)  # every vertex of P is below v
-        below = (1 << at) - 1
-        rest = [(r & below) | (r >> 1 & ~below) for r in rows[:at] + rows[at + 1:]]
-        target = k - len(chosen) - 1
-        if kappa_from_matrix(rest, floor=target) == target:
-            chosen.append(v)
-            rows = rest
+    chosen = _lex_min_cut(g, k)
     if not is_separator(g, chosen):
         raise AssertionError("chosen vertices do not separate the graph; kappa is wrong")
     # k < n - 1 leaves two or more vertices
     return CutWitness(frozenset(chosen), "disconnected")
 
 
-def brute_force_kappa(g: Graph, cap: int = BRUTE_FORCE_CAP) -> int:
+def _lex_min_cut(g: Graph, k: int) -> list[int]:
+    """The lexicographically smallest minimum cut of a non-complete G whose
+    connectivity the caller knows to be k.
+
+    The cut grows from a prefix P that lies in some minimum cut, so
+    kappa(G - P) = k - |P|. Vertices are tried in increasing order, and v
+    joins P exactly when kappa(G - P - v) = k - |P| - 1, which is when some
+    minimum cut holds P and v. A vertex turned down there is in no minimum
+    cut through a later prefix either, so the result is the lexicographically
+    smallest. That is at most n connectivity tests, and each only has to tell
+    k - |P| - 1 from anything larger.
+    """
+    rows = g._adj  # G - P, relabelled in order
+    chosen = []
+    for v in range(g.vertex_count):
+        if len(chosen) == k:
+            break
+        rest = _drop(rows, v - len(chosen))  # every vertex of P is below v
+        target = k - len(chosen) - 1
+        if kappa_from_matrix(rest, floor=target) == target:
+            chosen.append(v)
+            rows = rest
+    return chosen
+
+
+def brute_force_kappa(g: Graph) -> int:
     """Connectivity by enumerating deletion subsets in increasing size.
 
     Independent of the flow routine; meant as a cross-check oracle, hence the
-    vertex cap and the work budget. kappa never exceeds the minimum degree, so
-    at most sum(C(n, j) for j <= delta) subsets are tried; a graph whose bound
-    is above ``BRUTE_FORCE_BUDGET`` is refused before enumeration starts.
+    work budget. kappa never exceeds the minimum degree, so at most
+    sum(C(n, j) for j <= delta) subsets are tried; a graph whose bound is
+    above ``BRUTE_FORCE_BUDGET`` is refused before enumeration starts.
     """
-    n = g.vertex_count
-    if n == 0:
+    if g.vertex_count == 0:
         raise ValueError("connectivity undefined for the empty graph")
-    if n > cap:
-        raise ValueError(f"graph has {n} vertices, above the oracle cap {cap}")
-    subsets = sum(comb(n, j) for j in range(min_degree(g) + 1))
+    subsets = sum(comb(g.vertex_count, j) for j in range(min_degree(g) + 1))
     if subsets > BRUTE_FORCE_BUDGET:
         raise ValueError(f"brute force may try {subsets} deletion subsets, "
                          f"above the oracle budget {BRUTE_FORCE_BUDGET}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .connectivity import CutWitness, is_separator, kappa, min_vertex_cut
+from .connectivity import CutWitness, _lex_min_cut, is_separator, kappa
 from .graphs import Graph, min_degree
 from .products import complete_graph, direct_product
 
@@ -102,7 +102,8 @@ def witness_vertices(g: Graph, result: FormulaResult) -> tuple[frozenset[int], s
         raise ValueError("witness needs a connected factor")
     n = result.n
     if result.binding_branch == "copy":
-        factor_cut = min_vertex_cut(g).vertices
+        # G is not complete here: for K_m, (n - 1) * delta < n * kappa
+        factor_cut = _lex_min_cut(g, result.kappa_g)
         return frozenset(c * n + j for c in factor_cut for j in range(n)), "copy"
     u = min(v for v in range(g.vertex_count) if g.degree(v) == result.delta_g)
     # neighbours of (u, 0) in G x K_n: every (w, j) with w ~ u and j != 0
@@ -135,7 +136,7 @@ def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> 
         kappa_g = kappa(g)
     if kappa_g == 0:
         raise ValueError("quotient needs a connected factor with kappa >= 1")
-    bound = min(n * kappa_g, (n - 1) * min_degree(g))
+    bound = formula_kappa_product(kappa_g, min_degree(g), n).value
     m = g.vertex_count
     removed = frozenset(removed)
     for v in removed:
@@ -163,23 +164,23 @@ def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> 
                          graph=Graph.from_adjacency(masks))
 
 
-def sample_separator(g: Graph, n: int, rng: Random, size_draws: int = 1000, *,
+def sample_separator(g: Graph, n: int, rng: Random, *,
                      kappa_g: int | None = None) -> frozenset[int]:
     """Random candidate separator for the quotient checks.
 
     Draws |S| uniformly from 0 .. bound-1 and S uniformly among product vertex
     sets of that size, rejecting draws that empty a layer (after 100 rejections
-    the size is redrawn). A caller that already holds kappa(G) passes it as
-    ``kappa_g``.
+    the size is redrawn; after 1000 sizes it gives up). A caller that already
+    holds kappa(G) passes it as ``kappa_g``.
     """
     _require_applicable(n)
     if kappa_g is None:
         kappa_g = kappa(g)
     if kappa_g == 0:
         raise ValueError("no candidate separators exist for a factor with kappa = 0")
-    bound = min(n * kappa_g, (n - 1) * min_degree(g))
+    bound = formula_kappa_product(kappa_g, min_degree(g), n).value
     total = g.vertex_count * n
-    for _ in range(size_draws):
+    for _ in range(1000):
         size = rng.randrange(bound)
         for _attempt in range(100):
             chosen = frozenset(rng.sample(range(total), size))

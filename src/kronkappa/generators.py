@@ -39,24 +39,22 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_adjacency(_sample_masks(n, p, Random(seed)))
 
 
-def random_connected_graph(n: int, p: float, seed: int,
-                           retries: int = _CONNECT_RETRIES) -> Graph:
-    """Connected G(n, p): resample up to ``retries`` times, then overlay a
-    uniform random spanning tree on the last sample.
+def random_connected_graph(n: int, p: float, seed: int) -> Graph:
+    """Connected G(n, p): resample up to ``_CONNECT_RETRIES`` times, then
+    overlay a uniform random spanning tree on the last sample.
 
     p = 0 with n >= 2 cannot come out connected and is rejected once the
     retry budget is spent.
     """
     _check_args(n, p)
     rng = Random(seed)
-    g = None
-    for _ in range(retries):
+    for _ in range(_CONNECT_RETRIES):
         g = Graph.from_adjacency(_sample_masks(n, p, rng))
         if len(connected_components(g)) == 1:
             return g
     if p == 0.0:
         raise ValueError(
-            f"p=0 on {n} vertices cannot give a connected graph ({retries} retries spent)")
+            f"p=0 on {n} vertices cannot give a connected graph ({_CONNECT_RETRIES} retries spent)")
     masks = list(g._adj)
     for u, v in _random_tree_edges(n, rng):
         masks[u] |= 1 << v

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from ._kernels import _drop, _reach
+
 
 def bit_indices(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
@@ -130,11 +132,6 @@ class Graph:
         return f"Graph({self._n}, {self.edge_list()})"
 
 
-def build_graph(vertex_count: int, edges) -> Graph:
-    """Construct a simple graph; duplicate edges collapse, loops are rejected."""
-    return Graph(vertex_count, edges)
-
-
 def min_degree(g: Graph) -> int:
     if g.vertex_count == 0:
         raise ValueError("minimum degree undefined for the empty graph")
@@ -143,22 +140,12 @@ def min_degree(g: Graph) -> int:
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    n = g.vertex_count
     comps = []
-    seen = 0
-    for start in range(n):
-        if (seen >> start) & 1:
-            continue
-        reach = 1 << start
-        frontier = reach
-        while frontier:
-            grown = 0
-            for v in bit_indices(frontier):
-                grown |= g._adj[v]
-            frontier = grown & ~reach
-            reach |= frontier
-        seen |= reach
+    rest = (1 << g.vertex_count) - 1
+    while rest:
+        reach = _reach(g._adj, rest & -rest, rest)
         comps.append(bit_indices(reach))
+        rest ^= reach
     return comps
 
 
@@ -231,13 +218,8 @@ def delete_vertex(g: Graph, u: int) -> tuple[Graph, dict[int, int]]:
         raise ValueError("vertex deletion needs a graph with at least two vertices")
     if not 0 <= u < n:
         raise ValueError(f"vertex {u} out of range for vertex count {n}")
-    low_bits = (1 << u) - 1
-    masks = []
-    keep = [v for v in range(n) if v != u]
-    for old in keep:
-        m = g.adjacency_mask(old)
-        masks.append((m & low_bits) | ((m >> (u + 1)) << u))
-    return Graph.from_adjacency(masks), {old: new for new, old in enumerate(keep)}
+    labels = {v: v - (v > u) for v in range(n) if v != u}
+    return Graph.from_adjacency(_drop(g._adj, u)), labels
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:

@@ -156,7 +156,7 @@ def instance_checks(g: Graph, n: int, *, oracle: str = "flow",
 def _theorem_reports(f: InstanceFacts, oracle: str) -> list[VerificationReport]:
     base = {"graph6": f.graph6, "n": f.n}
     out = [run_check("theorem_equality", f, dict(base), oracle=oracle)]
-    if f.g.vertex_count >= 2 and f.connected:
+    if f.g.vertex_count >= 2 and f.kappa_g > 0:
         out.append(run_check("witness_soundness", f, dict(base)))
     return out
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from networkx.algorithms.connectivity import local_node_connectivity
 
 from kronkappa import (
+    Graph,
     all_labeled_graphs,
     brute_force_kappa,
-    build_graph,
     complete_graph,
     direct_product,
     is_separator,
@@ -27,17 +27,17 @@ PETERSEN = "IheA@GUAo"
 
 
 def cycle(n):
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @pytest.mark.parametrize("g,expected", [
-    (build_graph(1, []), 0),
-    (build_graph(2, []), 0),
-    (build_graph(2, [(0, 1)]), 1),
-    (build_graph(3, [(0, 1), (1, 2)]), 1),
+    (Graph(1, []), 0),
+    (Graph(2, []), 0),
+    (Graph(2, [(0, 1)]), 1),
+    (Graph(3, [(0, 1), (1, 2)]), 1),
     (cycle(5), 2),
     (complete_graph(5), 4),
-    (build_graph(4, [(0, 1), (2, 3)]), 0),
+    (Graph(4, [(0, 1), (2, 3)]), 0),
 ])
 def test_kappa_known_values(g, expected):
     assert kappa(g) == expected
@@ -50,38 +50,33 @@ def test_kappa_petersen():
 
 def test_kappa_empty_graph_rejected():
     with pytest.raises(ValueError):
-        kappa(build_graph(0, []))
+        kappa(Graph(0, []))
     with pytest.raises(ValueError):
-        brute_force_kappa(build_graph(0, []))
+        brute_force_kappa(Graph(0, []))
 
 
 def test_kappa_of_small_products():
     # values frozen from an independent subset-deletion oracle
-    p3 = build_graph(3, [(0, 1), (1, 2)])
+    p3 = Graph(3, [(0, 1), (1, 2)])
     prod = direct_product(p3, complete_graph(3)).graph
     assert kappa(prod) == 2
-    k23 = build_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    k23 = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     prod = direct_product(k23, complete_graph(3)).graph
     assert kappa(prod) == 4
 
 
-def test_brute_force_cap():
-    g = complete_graph(13)
-    with pytest.raises(ValueError, match="cap"):
-        brute_force_kappa(g)
-    assert brute_force_kappa(g, cap=13) == 12
-
-
 def test_brute_force_budget():
+    # the work budget is the only bound: K13 may need 8,191 deletion subsets
+    assert brute_force_kappa(complete_graph(13)) == 12
     # K7 x K3 has 21 vertices of degree 12: up to 1,695,222 deletion subsets
     product = direct_product(complete_graph(7), complete_graph(3)).graph
     with pytest.raises(ValueError, match="budget"):
-        brute_force_kappa(product, cap=product.vertex_count)
+        brute_force_kappa(product)
 
 
 def test_brute_force_past_64_vertices():
-    path = build_graph(70, [(i, i + 1) for i in range(69)])
-    assert brute_force_kappa(path, cap=70) == 1
+    path = Graph(70, [(i, i + 1) for i in range(69)])
+    assert brute_force_kappa(path) == 1
 
 
 @given(graph_strategy(min_vertices=1, max_vertices=6))
@@ -123,7 +118,7 @@ def test_disjoint_paths_match_networkx_on_every_pair():
     graphs = [random_graph(9 + seed % 6, 0.3, seed) for seed in range(12)]
     # a path here must reroute a vertex's outgoing unit and a later one then
     # cancels that new unit; a stale successor made the walk loop forever
-    graphs.append(build_graph(9, [(0, 3), (0, 4), (0, 7), (0, 8), (1, 3), (1, 4), (1, 6),
+    graphs.append(Graph(9, [(0, 3), (0, 4), (0, 7), (0, 8), (1, 3), (1, 4), (1, 6),
                                   (2, 4), (2, 5), (2, 8), (3, 7), (4, 6), (4, 7), (5, 6)]))
     for g in graphs:
         n = g.vertex_count
@@ -163,7 +158,7 @@ def test_disjoint_paths_reroute_along_a_flow_path():
     core = _chain(s, p, v, q, t) + _chain(s, 5, 6, 7, q) + _chain(p, 8, 9, 10, t)
     through_v = _chain(s, *range(11, 16), v) + _chain(v, *range(16, 21), t)
     for edges, n, paths in ((core, 11, 2), (core + through_v, 21, 3)):
-        rows = [build_graph(n, edges).adjacency_mask(x) for x in range(n)]
+        rows = [Graph(n, edges).adjacency_mask(x) for x in range(n)]
         assert _disjoint_paths(rows, s, t, n) == paths
 
 
@@ -174,7 +169,7 @@ def test_is_separator_cases():
     assert not is_separator(c6, [])
     assert is_separator(c6, range(5))  # one vertex left
     assert not is_separator(c6, range(6))  # nothing left
-    assert is_separator(build_graph(2, []), [])
+    assert is_separator(Graph(2, []), [])
     with pytest.raises(ValueError):
         is_separator(c6, [6])
 
@@ -197,7 +192,7 @@ def test_min_cut_four_cycle_prefers_lex_smallest():
 
 
 def test_min_cut_path_center():
-    cut = min_vertex_cut(build_graph(3, [(0, 1), (1, 2)]))
+    cut = min_vertex_cut(Graph(3, [(0, 1), (1, 2)]))
     assert cut.vertices == frozenset({1})
     assert cut.residual_verdict == "disconnected"
 
@@ -209,20 +204,20 @@ def test_min_cut_complete_graph_leaves_last_vertex():
 
 
 def test_min_cut_single_vertex():
-    cut = min_vertex_cut(build_graph(1, []))
+    cut = min_vertex_cut(Graph(1, []))
     assert cut.vertices == frozenset()
     assert cut.residual_verdict == "trivial"
 
 
 def test_min_cut_disconnected_is_empty():
-    cut = min_vertex_cut(build_graph(4, [(0, 1), (2, 3)]))
+    cut = min_vertex_cut(Graph(4, [(0, 1), (2, 3)]))
     assert cut.vertices == frozenset()
     assert cut.residual_verdict == "disconnected"
 
 
 def test_min_cut_empty_graph_rejected():
     with pytest.raises(ValueError):
-        min_vertex_cut(build_graph(0, []))
+        min_vertex_cut(Graph(0, []))
 
 
 @settings(max_examples=60)
@@ -264,7 +259,7 @@ def test_min_cut_matches_subset_walk_exhaustively():
 def test_min_cut_of_a_100_vertex_product():
     """C20 with chords i ~ i+2 is 4-regular with kappa 4, so its product with
     K5 has 100 vertices and kappa 16: far beyond a walk over 16-subsets."""
-    square = build_graph(20, [(i, (i + d) % 20) for i in range(20) for d in (1, 2)])
+    square = Graph(20, [(i, (i + d) % 20) for i in range(20) for d in (1, 2)])
     product = direct_product(square, complete_graph(5)).graph
     cut = min_vertex_cut(product)
     assert len(cut) == kappa(product) == 16

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from kronkappa import (
     FormulaInapplicable,
+    Graph,
     brute_force_kappa,
-    build_graph,
     build_quotient,
     check_complete_product,
     check_layer_in_component,
@@ -28,14 +28,14 @@ from conftest import connected_graph_strategy
 
 
 def p3():
-    return build_graph(3, [(0, 1), (1, 2)])
+    return Graph(3, [(0, 1), (1, 2)])
 
 
 def two_k4s_sharing_an_edge():
     # K4 on {0,1,2,3} and K4 on {2,3,4,5}: kappa 2 (cut {2,3}), delta 3
     edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     edges += [(a, b) for a in (2, 3, 4, 5) for b in (2, 3, 4, 5) if a < b]
-    return build_graph(6, edges)
+    return Graph(6, edges)
 
 
 @pytest.mark.parametrize("kappa_g,delta_g,n,value,branch", [
@@ -73,7 +73,7 @@ def test_formula_inapplicable_is_value_error():
 
 def test_kappa_product_fast_known_values():
     assert kappa_product_fast(p3(), 3) == 2
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert kappa_product_fast(c4, 3) == 4
     assert kappa_product_fast(complete_graph(1), 3) == 0
 
@@ -94,7 +94,7 @@ def test_witness_neighborhood_branch():
 
 
 def test_witness_copy_branch():
-    bowtie = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert kappa(bowtie) == 1 and min_degree(bowtie) == 2
     w = witness_cut(bowtie, 3)
     assert w.branch == "copy"
@@ -112,9 +112,9 @@ def test_witness_tie_prefers_neighborhood():
 
 def test_witness_rejects_bad_factors():
     with pytest.raises(ValueError, match="connected"):
-        witness_cut(build_graph(4, [(0, 1), (2, 3)]), 3)
+        witness_cut(Graph(4, [(0, 1), (2, 3)]), 3)
     with pytest.raises(ValueError):
-        witness_cut(build_graph(1, []), 3)
+        witness_cut(Graph(1, []), 3)
     with pytest.raises(FormulaInapplicable):
         witness_cut(p3(), 2)
 
@@ -130,7 +130,7 @@ def test_witness_separates_with_formula_size(g, n):
 
 
 def test_quotient_without_deletions_mirrors_factor():
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     q = build_quotient(c4, 3, [])
     assert q.graph.edge_list() == c4.edge_list()
     assert q.remainders[1] == frozenset({3, 4, 5})
@@ -150,7 +150,7 @@ def test_quotient_drops_edge_for_single_column_remainders():
 
 
 def test_quotient_validation_errors():
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     with pytest.raises(ValueError, match="below"):
         build_quotient(c4, 3, [0, 1, 3, 4])  # size 4 = bound
     with pytest.raises(ValueError, match="empties layer 0"):
@@ -158,7 +158,7 @@ def test_quotient_validation_errors():
     with pytest.raises(ValueError, match="out of range"):
         build_quotient(c4, 3, [12])
     with pytest.raises(ValueError, match="kappa"):
-        build_quotient(build_graph(2, []), 3, [])
+        build_quotient(Graph(2, []), 3, [])
     with pytest.raises(FormulaInapplicable):
         build_quotient(c4, 2, [])
 
@@ -166,7 +166,7 @@ def test_quotient_validation_errors():
 def test_quotient_bound_uses_factor_kappa():
     # two triangles joined by an edge: kappa 1 < delta 2, so with n = 3 the
     # bound is min(3*1, 2*2) = 3, not 4
-    g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+    g = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
     for check in (check_quotient_connected, check_layer_in_component):
         with pytest.raises(ValueError, match="below"):
             check(g, 3, [0, 3, 6])
@@ -176,7 +176,7 @@ def test_quotient_bound_uses_factor_kappa():
 
 
 def test_quotient_reports_pass_on_valid_sample():
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     r1 = check_quotient_connected(c4, 3, [0, 5, 7])
     assert r1.passed
     assert r1.inputs["S"] == [0, 5, 7]
@@ -201,7 +201,7 @@ def test_sampled_separators_keep_quotient_connected(g, n, seed):
 
 
 def test_sample_separator_deterministic():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     a = sample_separator(g, 3, Random(99))
     b = sample_separator(g, 3, Random(99))
     assert a == b
@@ -209,7 +209,7 @@ def test_sample_separator_deterministic():
 
 def test_sample_separator_rejects_disconnected():
     with pytest.raises(ValueError):
-        sample_separator(build_graph(3, [(0, 1)]), 3, Random(0))
+        sample_separator(Graph(3, [(0, 1)]), 3, Random(0))
 
 
 def test_complete_product_reports():
@@ -224,14 +224,14 @@ def test_complete_product_reports():
 
 
 def test_disconnected_factor_formula_gives_zero_and_matches():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     assert kappa_product_fast(g, 3) == 0
     prod = direct_product(g, complete_graph(3)).graph
     assert kappa(prod) == 0
 
 
 def test_isolated_vertex_factor_delta_zero():
-    g = build_graph(3, [(0, 1)])
+    g = Graph(3, [(0, 1)])
     result = formula_kappa_product(kappa(g), min_degree(g), 4)
     assert result.value == 0
     assert kappa_product_fast(g, 4) == 0
@@ -247,5 +247,5 @@ def test_witness_on_complete_factor():
 
 def test_min_cut_feeds_copy_branch():
     # copy witness above the factor's lexicographically-first minimum cut
-    bowtie = build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert min_vertex_cut(bowtie).vertices == frozenset({2})

@@ -7,12 +7,12 @@ from hypothesis import given, strategies as st
 
 from kronkappa import (
     Graph,
-    build_graph,
     connected_components,
     delete_vertex,
     induced_subgraph,
     min_degree,
     odd_cycle_status,
+    random_graph,
 )
 
 from conftest import graph_strategy, ref_components, ref_has_odd_closed_walk
@@ -20,36 +20,36 @@ from conftest import graph_strategy, ref_components, ref_has_odd_closed_walk
 
 def test_build_rejects_loops():
     with pytest.raises(ValueError, match="loop"):
-        build_graph(3, [(1, 1)])
+        Graph(3, [(1, 1)])
 
 
 def test_build_rejects_out_of_range_endpoints():
     with pytest.raises(ValueError, match="out of range"):
-        build_graph(2, [(0, 2)])
+        Graph(2, [(0, 2)])
     with pytest.raises(ValueError, match="out of range"):
-        build_graph(2, [(-1, 0)])
+        Graph(2, [(-1, 0)])
 
 
 def test_build_rejects_negative_vertex_count():
     with pytest.raises(ValueError):
-        build_graph(-1, [])
+        Graph(-1, [])
 
 
 def test_duplicate_edges_collapse():
-    g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
+    g = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count() == 1
     assert g.edge_list() == [(0, 1)]
 
 
 def test_empty_graph():
-    g = build_graph(0, [])
+    g = Graph(0, [])
     assert g.vertex_count == 0
     assert connected_components(g) == []
     assert g.edge_list() == []
 
 
 def test_degrees_and_neighbors():
-    g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     assert g.degree(0) == 3
     assert g.degree(2) == 1
     assert g.neighbors(0) == (1, 2, 3)
@@ -61,13 +61,13 @@ def test_degrees_and_neighbors():
 
 def test_min_degree_needs_vertices():
     with pytest.raises(ValueError):
-        min_degree(build_graph(0, []))
+        min_degree(Graph(0, []))
 
 
 def test_equality_and_hash():
-    a = build_graph(3, [(0, 1)])
-    b = build_graph(3, [(1, 0)])
-    c = build_graph(3, [(0, 2)])
+    a = Graph(3, [(0, 1)])
+    b = Graph(3, [(1, 0)])
+    c = Graph(3, [(0, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != "Bg"
@@ -81,7 +81,7 @@ def test_from_adjacency_rejects_bad_masks():
 
 
 def test_components_order_and_content():
-    g = build_graph(6, [(3, 4), (0, 5)])
+    g = Graph(6, [(3, 4), (0, 5)])
     assert connected_components(g) == [[0, 5], [1], [2], [3, 4]]
 
 
@@ -91,6 +91,19 @@ def test_components_match_union_find(g):
     assert mine == ref_components(g.vertex_count, g.edge_list())
     flat = sorted(v for comp in mine for v in comp)
     assert flat == list(range(g.vertex_count))
+
+
+def test_components_match_union_find_on_larger_graphs():
+    # the test above stops at 9 vertices; these seeded graphs have 9-80, and
+    # an average degree of 1.5 leaves several components
+    split_past_64 = False
+    for seed in range(40):
+        n = 9 + seed * 71 // 39
+        g = random_graph(n, 1.5 / n, seed)
+        comps = connected_components(g)
+        assert comps == ref_components(n, g.edge_list())
+        split_past_64 |= len(comps) > 1 and any(c[0] < 64 <= c[-1] for c in comps)
+    assert split_past_64
 
 
 @given(graph_strategy(max_vertices=7))
@@ -111,21 +124,21 @@ def test_import_leaves_numpy_unloaded():
 
 
 def test_single_vertex_is_bipartite():
-    status = odd_cycle_status(build_graph(1, []))
+    status = odd_cycle_status(Graph(1, []))
     assert status.is_bipartite
     assert status.bipartition == (frozenset({0}), frozenset())
     assert status.odd_cycle is None
 
 
 def test_triangle_has_odd_cycle():
-    status = odd_cycle_status(build_graph(3, [(0, 1), (1, 2), (0, 2)]))
+    status = odd_cycle_status(Graph(3, [(0, 1), (1, 2), (0, 2)]))
     assert not status.is_bipartite
     assert status.bipartition is None
     assert len(status.odd_cycle) == 3
 
 
 def test_even_cycle_bipartition():
-    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     status = odd_cycle_status(g)
     assert status.bipartition == (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
 
@@ -151,7 +164,7 @@ def test_odd_cycle_status_vs_walk_oracle(g):
 
 
 def test_delete_vertex_relabels_downward():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     h, relabel = delete_vertex(g, 1)
     assert h.vertex_count == 3
     assert relabel == {0: 0, 2: 1, 3: 2}
@@ -160,9 +173,9 @@ def test_delete_vertex_relabels_downward():
 
 def test_delete_vertex_refuses_tiny_or_missing():
     with pytest.raises(ValueError):
-        delete_vertex(build_graph(1, []), 0)
+        delete_vertex(Graph(1, []), 0)
     with pytest.raises(ValueError):
-        delete_vertex(build_graph(3, []), 3)
+        delete_vertex(Graph(3, []), 3)
 
 
 @given(graph_strategy(min_vertices=2, max_vertices=8), st.data())
@@ -178,7 +191,7 @@ def test_delete_vertex_preserves_remaining_adjacency(g, data):
 
 
 def test_induced_subgraph_sorts_and_relabels():
-    g = build_graph(5, [(0, 2), (2, 4), (1, 3)])
+    g = Graph(5, [(0, 2), (2, 4), (1, 3)])
     h = induced_subgraph(g, [4, 0, 2])
     assert h.vertex_count == 3
     assert h.edge_list() == [(0, 1), (1, 2)]
@@ -186,7 +199,7 @@ def test_induced_subgraph_sorts_and_relabels():
 
 def test_induced_subgraph_checks_range():
     with pytest.raises(ValueError):
-        induced_subgraph(build_graph(3, []), [0, 3])
+        induced_subgraph(Graph(3, []), [0, 3])
 
 
 @given(graph_strategy(max_vertices=8), st.data())

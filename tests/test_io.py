@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 
 from kronkappa import (
+    Graph,
     Graph6Error,
-    build_graph,
     complete_graph,
     parse_edge_list,
     parse_graph6,
@@ -31,9 +31,9 @@ def test_known_records_decode():
 
 
 def test_known_records_encode():
-    assert write_graph6(build_graph(3, [(0, 1), (1, 2)])) == "Bg"
-    assert write_graph6(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])) == "Dhc"
-    assert write_graph6(build_graph(0, [])) == "?"
+    assert write_graph6(Graph(3, [(0, 1), (1, 2)])) == "Bg"
+    assert write_graph6(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])) == "Dhc"
+    assert write_graph6(Graph(0, [])) == "?"
     assert write_graph6(complete_graph(2)) == "A_"
 
 
@@ -77,7 +77,7 @@ def test_long_form_roundtrip_and_networkx():
 
 
 def test_63_vertex_boundary():
-    g = build_graph(63, [(0, 62)])
+    g = Graph(63, [(0, 62)])
     assert parse_graph6(write_graph6(g)) == g
 
 
@@ -123,7 +123,7 @@ def test_edge_list_parses_comments_and_blanks():
 
 
 def test_edge_list_write_roundtrip():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     text = write_edge_list(g)
     assert text == "p 4\n0 1\n1 2\n2 3\n"
     assert parse_edge_list(text) == g

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from kronkappa import (
-    build_graph,
+    Graph,
     check_degree_product,
     check_weichsel,
     complete_graph,
@@ -36,11 +36,11 @@ def test_k2_times_k3_is_hexagon():
 
 def test_product_needs_nonempty_factors():
     with pytest.raises(ValueError):
-        direct_product(build_graph(0, []), complete_graph(2))
+        direct_product(Graph(0, []), complete_graph(2))
 
 
 def test_index_pair_roundtrip_and_range():
-    prod = direct_product(build_graph(3, [(0, 1), (1, 2)]), complete_graph(4))
+    prod = direct_product(Graph(3, [(0, 1), (1, 2)]), complete_graph(4))
     assert prod.index_of(2, 1) == 9
     assert prod.pair_of(9) == (2, 1)
     for idx in range(12):
@@ -92,7 +92,7 @@ def test_product_degrees_multiply(g, h):
 
 
 def test_weichsel_connected_product():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
+    p3 = Graph(3, [(0, 1), (1, 2)])
     report = check_weichsel(p3, complete_graph(3))
     assert report.passed
     assert report.computed["product_connected"] is True
@@ -109,7 +109,7 @@ def test_weichsel_bipartite_pair_disconnects():
 
 def test_weichsel_needs_nontrivial_factors():
     with pytest.raises(ValueError, match="nontrivial"):
-        check_weichsel(build_graph(1, []), complete_graph(3))
+        check_weichsel(Graph(1, []), complete_graph(3))
 
 
 @settings(max_examples=50)
@@ -121,7 +121,7 @@ def test_weichsel_never_fails(g, h):
 
 
 def test_degree_product_report():
-    p3 = build_graph(3, [(0, 1), (1, 2)])
+    p3 = Graph(3, [(0, 1), (1, 2)])
     report = check_degree_product(p3, p3)
     assert report.passed
     assert report.computed == {

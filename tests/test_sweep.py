@@ -5,9 +5,9 @@ import json
 import pytest
 
 from kronkappa import (
+    Graph,
     SweepConfig,
     VerificationReport,
-    build_graph,
     check_complete_product,
     check_degree_product,
     check_weichsel,
@@ -135,8 +135,8 @@ def emitted_reports():
     """Reports of every check the package emits: a sweep, the public checks
     on a second factor H (their inputs carry graph6_h), a brute-force-only
     theorem battery and the verify-theorem --direct record."""
-    p3 = build_graph(3, [(0, 1), (1, 2)])
-    c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     reports = run_sweep(small_config())
     reports += [check_weichsel(p3, complete_graph(3)), check_weichsel(c4, c4),
                 check_degree_product(p3, c4), check_complete_product(3, 4)]
@@ -164,7 +164,7 @@ def test_rerun_check_unknown_name():
 
 
 def test_theorem_checks_oracle_selection():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     flow_only = theorem_checks(g, 3, oracle="flow")[0]
     assert "kappa_flow" in flow_only.computed
     assert "kappa_brute" not in flow_only.computed
@@ -175,7 +175,7 @@ def test_theorem_checks_oracle_selection():
 
 
 def test_lemma_checks_structure():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 2)])
     reports = lemma_checks(g, 3, seed=4, separator_samples=3)
     names = [r.check_name for r in reports]
     assert names.count("quotient_connected") == 3
@@ -187,7 +187,7 @@ def test_lemma_checks_structure():
 
 
 def test_instance_checks_covers_both_batteries():
-    g = build_graph(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     names = {r.check_name for r in instance_checks(g, 3, oracle="flow", seed=8)}
     assert "theorem_equality" in names
     assert "weichsel_iff" in names
