@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .connectivity import CutWitness, _lex_min_cut, is_separator, kappa
-from .graphs import Graph, min_degree
+from .graphs import Graph, bit_indices, min_degree
 from .products import complete_graph, direct_product
 
 
@@ -105,9 +105,9 @@ def witness_vertices(g: Graph, result: FormulaResult) -> tuple[frozenset[int], s
         # G is not complete here: for K_m, (n - 1) * delta < n * kappa
         factor_cut = _lex_min_cut(g, result.kappa_g)
         return frozenset(c * n + j for c in factor_cut for j in range(n)), "copy"
-    u = min(v for v in range(g.vertex_count) if g.degree(v) == result.delta_g)
+    u_row = next(row for row in g._adj if row.bit_count() == result.delta_g)
     # neighbours of (u, 0) in G x K_n: every (w, j) with w ~ u and j != 0
-    return (frozenset(w * n + j for w in g.neighbors(u) for j in range(1, n)),
+    return (frozenset(w * n + j for w in bit_indices(u_row) for j in range(1, n)),
             "neighborhood")
 
 
@@ -120,8 +120,6 @@ class QuotientGraph:
     when both remainders are single vertices in the same column.
     """
 
-    factor: Graph
-    n: int
     removed: frozenset[int]
     remainders: tuple[frozenset[int], ...]
     graph: Graph
@@ -159,8 +157,7 @@ def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> 
         if len(rem_i) > 1 or len(rem_j) > 1 or min(rem_i) % n != min(rem_j) % n:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-    return QuotientGraph(factor=g, n=n, removed=removed,
-                         remainders=tuple(remainders),
+    return QuotientGraph(removed=removed, remainders=tuple(remainders),
                          graph=Graph.from_adjacency(masks))
 
 

@@ -91,7 +91,7 @@ def write_graph6(g: Graph) -> str:
     group = 0
     filled = 0
     for j in range(1, n):
-        col = g.adjacency_mask(j)
+        col = g._adj[j]
         for i in range(j):
             group = (group << 1) | ((col >> i) & 1)
             filled += 1

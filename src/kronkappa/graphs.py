@@ -26,7 +26,7 @@ def bit_indices(mask: int) -> list[int]:
 class Graph:
     """Immutable simple graph. No loops, no multi-edges, no vertex data."""
 
-    __slots__ = ("_n", "_adj", "_edges")
+    __slots__ = ("_adj",)
 
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
@@ -41,9 +41,7 @@ class Graph:
                     f"edge ({u}, {v}) out of range for vertex count {vertex_count}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self._n = vertex_count
         self._adj = tuple(adj)
-        self._edges = None
 
     @classmethod
     def from_adjacency(cls, masks) -> "Graph":
@@ -53,35 +51,27 @@ class Graph:
         loop-freeness but symmetry is trusted.
         """
         masks = tuple(masks)
-        n = len(masks)
-        limit = 1 << n
+        limit = 1 << len(masks)
         for v, m in enumerate(masks):
             if not 0 <= m < limit or (m >> v) & 1:
                 raise ValueError(f"bad adjacency mask at vertex {v}")
         g = cls.__new__(cls)
-        g._n = n
         g._adj = masks
-        g._edges = None
         return g
 
     @property
     def vertex_count(self) -> int:
-        return self._n
+        return len(self._adj)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Edge set as (u, v) pairs with u < v."""
-        if self._edges is None:
-            found = []
-            for u in range(self._n):
-                above = self._adj[u] >> (u + 1)
-                for off in bit_indices(above):
-                    found.append((u, u + 1 + off))
-            self._edges = frozenset(found)
-        return self._edges
+        return frozenset(self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """Edges as (u, v) pairs with u < v; walking the rows gives sorted order."""
+        return [(u, v) for u, row in enumerate(self._adj)
+                for v in bit_indices((row >> (u + 1)) << (u + 1))]
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
@@ -110,26 +100,27 @@ class Graph:
         """
         import numpy as np
 
-        mat = np.zeros((self._n, self._n), dtype=np.bool_)
-        for v in range(self._n):
-            for w in bit_indices(self._adj[v]):
+        n = len(self._adj)
+        mat = np.zeros((n, n), dtype=np.bool_)
+        for v, row in enumerate(self._adj):
+            for w in bit_indices(row):
                 mat[v, w] = True
         return mat
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._n:
-            raise ValueError(f"vertex {v} out of range for vertex count {self._n}")
+        if not 0 <= v < len(self._adj):
+            raise ValueError(f"vertex {v} out of range for vertex count {len(self._adj)}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._adj == other._adj
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._n, self._adj))
+        return hash(self._adj)
 
     def __repr__(self) -> str:
-        return f"Graph({self._n}, {self.edge_list()})"
+        return f"Graph({len(self._adj)}, {self.edge_list()})"
 
 
 def min_degree(g: Graph) -> int:
@@ -164,7 +155,8 @@ class OddCycleStatus:
 def odd_cycle_status(g: Graph) -> OddCycleStatus:
     """Two-colour by BFS; a same-colour edge closes an odd cycle through the
     tree paths to the endpoints' lowest common ancestor."""
-    n = g.vertex_count
+    rows = g._adj
+    n = len(rows)
     color = [-1] * n
     parent = [-1] * n
     depth = [0] * n
@@ -175,7 +167,7 @@ def odd_cycle_status(g: Graph) -> OddCycleStatus:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v in g.neighbors(u):
+            for v in bit_indices(rows[u]):
                 if color[v] == -1:
                     color[v] = color[u] ^ 1
                     parent[v] = u
@@ -227,14 +219,7 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     chosen = sorted(set(vertices))
     for v in chosen:
         g._check_vertex(v)
-    position = {old: new for new, old in enumerate(chosen)}
-    select = 0
-    for v in chosen:
-        select |= 1 << v
-    masks = []
-    for old in chosen:
-        packed = 0
-        for w in bit_indices(g.adjacency_mask(old) & select):
-            packed |= 1 << position[w]
-        masks.append(packed)
-    return Graph.from_adjacency(masks)
+    # bit k of a new row is bit chosen[k] of the old one
+    rows = g._adj
+    return Graph.from_adjacency(
+        sum(((rows[old] >> w) & 1) << k for k, w in enumerate(chosen)) for old in chosen)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph
+from .graphs import Graph, bit_indices
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,9 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     if g.vertex_count == 0 or h.vertex_count == 0:
         raise ValueError("direct product needs nonempty factors")
     hn = h.vertex_count
-    h_edges = h.edge_list()
-    adj = [0] * (g.vertex_count * hn)
-    for u1, u2 in g.edge_list():
-        base1 = u1 * hn
-        base2 = u2 * hn
-        for v1, v2 in h_edges:
-            a, b = base1 + v1, base2 + v2
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-            a, b = base1 + v2, base2 + v1
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+    # Row (u, i) of A(G) kron A(H) is spread[u] * row i of H, where spread[u]
+    # has bit w * |V(H)| for each w ~ u; an H row is below 2**|V(H)|, so the
+    # shifted copies do not overlap and the multiply never carries.
+    spread = [sum(1 << (w * hn) for w in bit_indices(row)) for row in g._adj]
+    adj = [s * row for s in spread for row in h._adj]
     return ProductGraph(Graph.from_adjacency(adj), g.vertex_count, hn)

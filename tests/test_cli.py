@@ -282,6 +282,19 @@ GOLDEN_RUNS = {
     "witness-direct-n4": (
         ("witness", INPUT, "-n", "4", "--direct"), WITNESS_FACTORS,
         "4085d9019599dd8ef25430edefa70479a1ea751223c4640c0311f015de23bb5c"),
+    "product-n4": (
+        ("product", INPUT, "-n", "4"), WITNESS_FACTORS,
+        "478cdd591785a54ecfad5ec51815b28c1b3c895f69af3cd0220c233202bca1be"),
+    "product-edges-n5": (
+        ("product", INPUT, "-n", "5", "--emit", "edges"), "Cl\n",
+        "e854c9a4f2fd7d9ab45550d18705c25c674e67ab5d9bc307f03fe68238639c72"),
+    "verify-theorem-exhaustive": (
+        ("verify-theorem", "--exhaustive", "4", "-n", "3", "4", "5"), "",
+        "8c99e6cfdb9ec5fa07ec01ff607bb8dec142cbbc63d7b5818e7f8be94ca36f75"),
+    "verify-theorem-direct": (
+        ("verify-theorem", INPUT, "-n", "2", "3", "--direct", "--oracle", "both"),
+        WITNESS_FACTORS,
+        "ab3f7004a3d35beb81d974eb621523375802fcc1f9013686e8d4bb4d7a7e68d3"),
 }
 
 

@@ -71,6 +71,8 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != "Bg"
+    assert Graph(3, [(0, 1)]) != Graph(4, [(0, 1)])
+    assert Graph(0) == Graph(0) and hash(Graph(0)) == hash(Graph(0))
 
 
 def test_from_adjacency_rejects_bad_masks():

@@ -11,6 +11,7 @@ from kronkappa import (
     direct_product,
     min_degree,
     random_bipartite_graph,
+    random_graph,
 )
 
 from conftest import graph_strategy, ref_product_edges
@@ -68,6 +69,26 @@ def test_product_adjacency_is_kron(g, h):
     got = direct_product(g, h).graph.adjacency_matrix()
     want = np.kron(g.adjacency_matrix(), h.adjacency_matrix())
     assert (got == want).all()
+
+
+def _with_isolated_vertex(g):
+    return Graph(g.vertex_count + 1, g.edge_list())
+
+
+@pytest.mark.parametrize("g, h", [
+    (complete_graph(13), complete_graph(5)),
+    (_with_isolated_vertex(random_graph(13, 0.4, seed=3)), complete_graph(5)),
+    (random_graph(9, 0.5, seed=4), _with_isolated_vertex(random_graph(10, 0.4, seed=5))),
+    (_with_isolated_vertex(random_graph(15, 0.3, seed=6)),
+     _with_isolated_vertex(random_graph(9, 0.5, seed=7))),
+])
+def test_product_beyond_64_vertices_is_kron(g, h):
+    """Product rows wider than one machine word still match the definition."""
+    prod = direct_product(g, h).graph
+    assert 65 <= prod.vertex_count <= 160
+    want = np.kron(g.adjacency_matrix(), h.adjacency_matrix())
+    assert (prod.adjacency_matrix() == want).all()
+    assert set(prod.edge_list()) == ref_product_edges(g, h)
 
 
 @settings(max_examples=60)
