@@ -6,16 +6,20 @@ integers and booleans, and ``ok`` decides the verdict. The sweep, the
 ``verify-*`` commands, the public ``check_*`` functions and ``rerun_check``
 all reach a check through this table. Measured values come from flows or
 subset enumeration, never from the closed form they are compared with.
+``theorem_battery`` and ``lemma_battery`` decide which checks run on an
+instance; each condition for running one is written there and nowhere else.
 """
 
 from __future__ import annotations
 
 import time
 from functools import cached_property
+from random import Random
 
 from ._kernels import _reach
 from .connectivity import brute_force_kappa, is_separator, kappa
-from .formula import FormulaResult, build_quotient, formula_kappa_product, witness_vertices
+from .formula import (FormulaResult, build_quotient, formula_kappa_product, sample_separator,
+                      witness_vertices)
 from .graphio import parse_graph6, write_graph6
 from .graphs import (
     Graph,
@@ -186,6 +190,40 @@ def run_check(name: str, facts: InstanceFacts, inputs: dict, **params) -> Verifi
     t0 = time.perf_counter()
     computed, ok = CHECKS[name](facts, **params)
     return VerificationReport(name, inputs, computed, verdict_of(ok), elapsed_ms_since(t0))
+
+
+def theorem_battery(f: InstanceFacts, oracle: str = "flow"):
+    """The closed form against G x K_n's measured connectivity, then the
+    closed form's witness when G is connected; below n = 3, where the closed
+    form does not apply, the single measured ``direct_kappa`` record."""
+    base = {"graph6": f.graph6, "n": f.n}
+    if f.n < 3:
+        yield run_check("direct_kappa", f, base)
+        return
+    yield run_check("theorem_equality", f, dict(base), oracle=oracle)
+    if f.kappa_g > 0:  # so G has two or more vertices
+        yield run_check("witness_soundness", f, dict(base))
+
+
+def lemma_battery(f: InstanceFacts, seed: int = 0, separator_samples: int = 1):
+    """The supporting facts: the connectedness criterion and deletion
+    monotonicity on a G with two or more vertices, the minimum-degree
+    identity, and for connected G with n >= 3 the two quotient checks on each
+    of ``separator_samples`` candidate separators drawn from Random(seed)."""
+    base = {"graph6": f.graph6, "n": f.n}
+    nontrivial = f.g.vertex_count >= 2
+    if nontrivial:
+        yield run_check("weichsel_iff", f, dict(base))
+    yield run_check("degree_product", f, dict(base))
+    if nontrivial:
+        yield run_check("deletion_monotonicity", f, dict(base))
+    if f.n >= 3 and f.kappa_g > 0:
+        rng = Random(seed)
+        for _ in range(separator_samples):
+            chosen = sample_separator(f.g, f.n, rng, kappa_g=f.kappa_g)
+            with_s = {**base, "S": sorted(chosen), "seed": seed}
+            yield run_check("quotient_connected", f, with_s, S=chosen)
+            yield run_check("layer_in_component", f, dict(with_s), S=chosen)
 
 
 def rerun_check(report: VerificationReport) -> str:

@@ -11,19 +11,19 @@ import json
 import sys
 from pathlib import Path
 
-from .checks import ORACLES, InstanceFacts, run_check
+from .checks import ORACLES
 from .connectivity import kappa, min_vertex_cut
 from .formula import FormulaInapplicable, _require_applicable, witness_cut
 from .generators import all_labeled_graphs
 from .graphio import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .graphs import Graph
 from .products import complete_graph, direct_product
-from .reports import VerificationReport
 from .sweep import (
     EXHAUSTIVE_VERTEX_CAP,
     SweepConfig,
     instance_seed,
     lemma_checks,
+    require_exhaustive_budget,
     run_sweep,
     theorem_checks,
 )
@@ -49,10 +49,13 @@ def _load_graphs(source: str) -> list[Graph]:
     return graphs
 
 
-def _emit_reports(reports: list[VerificationReport], timings: bool) -> int:
+def _emit_reports(reports, timings: bool) -> int:
+    code = 0
     for report in reports:
         print(report.to_json(timings=timings))
-    return 0 if all(r.passed for r in reports) else 1
+        if not report.passed:
+            code = 1
+    return code
 
 
 def _refuse_small_n(n_values, direct: bool) -> None:
@@ -91,19 +94,13 @@ def _cmd_verify_theorem(args) -> int:
     if args.exhaustive is not None:
         if not 1 <= args.exhaustive <= EXHAUSTIVE_VERTEX_CAP:
             raise ValueError(f"--exhaustive must lie in 1..{EXHAUSTIVE_VERTEX_CAP}")
+        require_exhaustive_budget(args.exhaustive, args.n, args.oracle)
         graphs = all_labeled_graphs(args.exhaustive)
     else:
         graphs = _load_graphs(args.file)
-    reports = []
-    for g in graphs:
-        for n in args.n:
-            if n < 3:
-                facts = InstanceFacts(g, n)
-                reports.append(run_check("direct_kappa", facts,
-                                         {"graph6": facts.graph6, "n": n}))
-            else:
-                reports.extend(theorem_checks(g, n, oracle=args.oracle))
-    return _emit_reports(reports, args.timings)
+    return _emit_reports((report for g in graphs for n in args.n
+                          for report in theorem_checks(g, n, oracle=args.oracle)),
+                         args.timings)
 
 
 def _cmd_verify_lemmas(args) -> int:
@@ -113,13 +110,11 @@ def _cmd_verify_lemmas(args) -> int:
     if args.n < 3:
         print(f"note: n={args.n} is below the closed form's range; "
               "quotient checks are skipped", file=sys.stderr)
-    reports = []
-    for index, g in enumerate(_load_graphs(args.file)):
-        reports.extend(lemma_checks(
-            g, args.n,
-            seed=instance_seed(args.seed, index),
-            separator_samples=args.samples if args.n >= 3 else 0))
-    return _emit_reports(reports, args.timings)
+    return _emit_reports((report for index, g in enumerate(_load_graphs(args.file))
+                          for report in lemma_checks(g, args.n,
+                                                     seed=instance_seed(args.seed, index),
+                                                     separator_samples=args.samples)),
+                         args.timings)
 
 
 def _cmd_witness(args) -> int:

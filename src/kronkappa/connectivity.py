@@ -107,8 +107,15 @@ def brute_force_kappa(g: Graph) -> int:
     """
     if g.vertex_count == 0:
         raise ValueError("connectivity undefined for the empty graph")
-    subsets = sum(comb(g.vertex_count, j) for j in range(min_degree(g) + 1))
-    if subsets > BRUTE_FORCE_BUDGET:
-        raise ValueError(f"brute force may try {subsets} deletion subsets, "
-                         f"above the oracle budget {BRUTE_FORCE_BUDGET}")
+    require_brute_force_budget(g.vertex_count, min_degree(g))
     return brute_force_kappa_bits(g._adj)
+
+
+def require_brute_force_budget(vertex_count: int, delta: int) -> None:
+    """ValueError when sum(C(vertex_count, j) for j <= delta), the subsets the
+    oracle may try, is above ``BRUTE_FORCE_BUDGET``."""
+    subsets = sum(comb(vertex_count, j) for j in range(delta + 1))
+    if subsets > BRUTE_FORCE_BUDGET:
+        raise ValueError(f"brute force on {vertex_count} vertices of minimum degree {delta} "
+                         f"may try {subsets} deletion subsets, above the oracle budget "
+                         f"{BRUTE_FORCE_BUDGET}")

@@ -2,24 +2,21 @@
 
 A sweep walks a family of factors G (exhaustive over all labelled graphs up to
 a size cap, or seeded random samples), and for every G and every requested n
-runs the whole battery from the check table in ``checks``: closed form vs
-oracle connectivity, witness soundness, the product connectedness criterion,
-the minimum-degree identity, deletion monotonicity, and the two quotient
-checks on a sampled candidate separator. One ``InstanceFacts`` serves the
-whole battery of an instance, so G x K_n is built once. Reports serialise to
-JSON lines; reruns with the same config are byte-identical because timings
-are zeroed on the wire by default, and ``checks.rerun_check`` re-verifies any
-line from its inputs alone.
+runs the theorem and lemma batteries of ``checks`` over one ``InstanceFacts``,
+so G x K_n is built once. ``run_sweep`` yields each instance's reports as
+soon as it finishes. Reports serialise to JSON lines; reruns with the same
+config are byte-identical because timings are zeroed on the wire by default,
+and ``checks.rerun_check`` re-verifies any line from its inputs alone.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
-from random import Random
 
-from .checks import ORACLES, InstanceFacts, run_check
-from .formula import sample_separator
+from .checks import ORACLES, InstanceFacts, lemma_battery, theorem_battery
+from .connectivity import require_brute_force_budget
 from .generators import all_labeled_graphs, random_graph
 from .graphs import Graph
 from .reports import VerificationReport
@@ -48,7 +45,8 @@ class SweepConfig:
 
     mode "exhaustive": every labelled graph on 1..max_vertices vertices.
     mode "random": sample_count draws of G(max_vertices, edge_probability).
-    oracle picks what the closed form is compared against.
+    oracle picks what the closed form is compared against; an exhaustive
+    family whose brute force would exceed its budget is refused here.
     """
 
     max_vertices: int
@@ -91,6 +89,8 @@ class SweepConfig:
             raise ValueError("sample_count must be at least 1")
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ValueError("edge_probability must lie in [0, 1]")
+        if self.mode == "exhaustive":
+            require_exhaustive_budget(self.max_vertices, self.n_values, self.oracle)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SweepConfig":
@@ -119,62 +119,36 @@ def _sweep_graphs(config: SweepConfig):
                                instance_seed(config.seed ^ _GRAPH_DRAW_SALT, i))
 
 
-def run_sweep(config: SweepConfig) -> list[VerificationReport]:
-    """All reports for the configured family, in deterministic order."""
-    reports = []
-    index = 0
-    for g in _sweep_graphs(config):
-        for n in config.n_values:
-            reports.extend(instance_checks(g, n, oracle=config.oracle,
-                                           seed=instance_seed(config.seed, index)))
-            index += 1
-    return reports
+def run_sweep(config: SweepConfig) -> Iterator[VerificationReport]:
+    """Yield every report of the configured family in deterministic order,
+    each instance's reports as soon as that instance is done."""
+    instances = ((g, n) for g in _sweep_graphs(config) for n in config.n_values)
+    for index, (g, n) in enumerate(instances):
+        yield from instance_checks(g, n, oracle=config.oracle,
+                                   seed=instance_seed(config.seed, index))
+
+
+def require_exhaustive_budget(max_vertices: int, n_values, oracle: str) -> None:
+    """Refuse an exhaustive family before any work when the brute force would
+    refuse its densest product, K_M x K_N with N the largest n."""
+    if oracle != "flow":
+        n = max(n_values)
+        require_brute_force_budget(max_vertices * n, (max_vertices - 1) * (n - 1))
 
 
 def theorem_checks(g: Graph, n: int, *, oracle: str = "flow") -> list[VerificationReport]:
-    """Closed form vs measured connectivity, plus witness soundness where a
-    witness is defined (connected factor on >= 2 vertices)."""
-    return _theorem_reports(InstanceFacts(g, n), oracle)
+    """``checks.theorem_battery`` on G x K_n."""
+    return list(theorem_battery(InstanceFacts(g, n), oracle))
 
 
 def lemma_checks(g: Graph, n: int, *, seed: int = 0,
                  separator_samples: int = 1) -> list[VerificationReport]:
-    """Supporting-fact battery: product connectedness criterion, minimum
-    degree identity, deletion monotonicity, and (for connected factors with
-    n >= 3) quotient checks on ``separator_samples`` sampled candidate
-    separators drawn from Random(seed)."""
-    return _lemma_reports(InstanceFacts(g, n), seed, separator_samples)
+    """``checks.lemma_battery`` on G x K_n, sampling from Random(seed)."""
+    return list(lemma_battery(InstanceFacts(g, n), seed, separator_samples))
 
 
 def instance_checks(g: Graph, n: int, *, oracle: str = "flow",
                     seed: int = 0) -> list[VerificationReport]:
-    """The full battery for one factor and one complete-factor size."""
+    """Both batteries for one factor and one n, over one ``InstanceFacts``."""
     facts = InstanceFacts(g, n)
-    return _theorem_reports(facts, oracle) + _lemma_reports(facts, seed, 1)
-
-
-def _theorem_reports(f: InstanceFacts, oracle: str) -> list[VerificationReport]:
-    base = {"graph6": f.graph6, "n": f.n}
-    out = [run_check("theorem_equality", f, dict(base), oracle=oracle)]
-    if f.g.vertex_count >= 2 and f.kappa_g > 0:
-        out.append(run_check("witness_soundness", f, dict(base)))
-    return out
-
-
-def _lemma_reports(f: InstanceFacts, seed: int,
-                   separator_samples: int) -> list[VerificationReport]:
-    base = {"graph6": f.graph6, "n": f.n}
-    out = []
-    if f.g.vertex_count >= 2:
-        out.append(run_check("weichsel_iff", f, dict(base)))
-    out.append(run_check("degree_product", f, dict(base)))
-    if f.g.vertex_count >= 2:
-        out.append(run_check("deletion_monotonicity", f, dict(base)))
-    if separator_samples > 0 and f.n >= 3 and f.kappa_g > 0:
-        rng = Random(seed)
-        for _ in range(separator_samples):
-            chosen = sample_separator(f.g, f.n, rng, kappa_g=f.kappa_g)
-            with_s = {**base, "S": sorted(chosen), "seed": seed}
-            out.append(run_check("quotient_connected", f, with_s, S=chosen))
-            out.append(run_check("layer_in_component", f, dict(with_s), S=chosen))
-    return out
+    return [*theorem_battery(facts, oracle), *lemma_battery(facts, seed)]

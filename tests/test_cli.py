@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from kronkappa import VerificationReport, complete_graph, write_graph6
+from kronkappa import (
+    VerificationReport,
+    complete_graph,
+    parse_graph6,
+    theorem_checks,
+    write_graph6,
+)
+from kronkappa import cli, sweep
 from kronkappa.cli import _emit_reports, main
 
 
@@ -96,6 +103,58 @@ def test_verify_theorem_brute_refuses_over_budget(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "budget" in err
+
+
+def test_verify_theorem_keeps_lines_printed_before_a_refusal(capsys, tmp_path):
+    # C4 is within the brute-force budget; K7 x K3 is refused
+    path = tmp_path / "c4_k7.g6"
+    path.write_text("Cl\nF~~~w\n")
+    code, out, err = run_cli(capsys, "verify-theorem", str(path), "-n", "3",
+                             "--oracle", "both")
+    assert code == 2
+    assert "budget" in err
+    c4_reports = theorem_checks(parse_graph6("Cl"), 3, oracle="both")
+    assert len(c4_reports) == 2
+    assert out == "".join(r.to_json() + "\n" for r in c4_reports)
+
+
+def test_sweep_keeps_lines_printed_before_a_refusal(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"max_vertices": 3, "n_values": [3],
+                                "mode": "exhaustive", "seed": 5, "oracle": "both"}))
+    original = sweep.instance_checks
+    finished = []
+
+    def second_call_refused(*args, **kwargs):
+        if finished:
+            raise ValueError("refused on the second instance")
+        finished.extend(original(*args, **kwargs))
+        return finished
+
+    monkeypatch.setattr(sweep, "instance_checks", second_call_refused)
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert code == 2
+    assert "second instance" in err
+    assert finished
+    assert out == "".join(r.to_json() + "\n" for r in finished)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("an over-budget family must be refused before any instance runs")
+
+
+def test_exhaustive_family_over_budget_refused_up_front(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"max_vertices": 6, "n_values": [4],
+                                "mode": "exhaustive", "oracle": "both"}))
+    monkeypatch.setattr(sweep, "instance_checks", _no_work)
+    monkeypatch.setattr(cli, "theorem_checks", _no_work)
+    for argv in (("sweep", "--config", str(path)),
+                 ("verify-theorem", "--exhaustive", "6", "-n", "4", "--oracle", "both")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err
 
 
 def test_verify_theorem_refuses_n2_without_direct(capsys, p3_file):

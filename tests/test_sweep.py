@@ -20,6 +20,7 @@ from kronkappa import (
     run_sweep,
     theorem_checks,
 )
+from kronkappa import sweep
 from kronkappa.checks import CHECKS
 from kronkappa.cli import main
 
@@ -48,8 +49,17 @@ def test_config_validation():
         small_config(mode="random", edge_probability=2.0)
     with pytest.raises(ValueError, match="max_vertices"):
         small_config(max_vertices=0)
-    # random mode has no vertex cap at 7
-    SweepConfig(max_vertices=12, n_values=(3,), mode="random", sample_count=1)
+    # an exhaustive family holds K_M x K_N: K6 x K4 is over the brute-force
+    # budget, K5 x K4 (910,596 subsets) is within it
+    with pytest.raises(ValueError, match="budget"):
+        small_config(max_vertices=6, n_values=(3, 4))
+    with pytest.raises(ValueError, match="budget"):
+        small_config(max_vertices=6, n_values=(4,), oracle="brute")
+    small_config(max_vertices=5, n_values=(4,))
+    small_config(max_vertices=6, n_values=(4,), oracle="flow")
+    # random mode has no vertex cap at 7, and its draws decide any refusal
+    SweepConfig(max_vertices=12, n_values=(3,), mode="random", sample_count=1,
+                oracle="both")
 
 
 def test_config_from_mapping_strict_keys():
@@ -82,7 +92,7 @@ def test_instance_seed_frozen_values():
 
 
 def test_exhaustive_sweep_passes_and_counts():
-    reports = run_sweep(small_config())
+    reports = list(run_sweep(small_config()))
     assert len(reports) == 57
     assert all(r.passed for r in reports)
     names = {r.check_name for r in reports}
@@ -123,7 +133,7 @@ def test_report_json_roundtrip():
 def test_random_sweep_draws_requested_count():
     cfg = SweepConfig(max_vertices=6, n_values=(3,), mode="random",
                       sample_count=5, seed=1)
-    reports = run_sweep(cfg)
+    reports = list(run_sweep(cfg))
     factors = {r.inputs["graph6"] for r in reports}
     # 5 draws, possibly with repeats, all on 6 vertices
     assert 1 <= len(factors) <= 5
@@ -137,7 +147,7 @@ def emitted_reports():
     theorem battery and the verify-theorem --direct record."""
     p3 = Graph(3, [(0, 1), (1, 2)])
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    reports = run_sweep(small_config())
+    reports = list(run_sweep(small_config()))
     reports += [check_weichsel(p3, complete_graph(3)), check_weichsel(c4, c4),
                 check_degree_product(p3, c4), check_complete_product(3, 4)]
     reports += theorem_checks(c4, 4, oracle="brute")
@@ -191,3 +201,32 @@ def test_instance_checks_covers_both_batteries():
     names = {r.check_name for r in instance_checks(g, 3, oracle="flow", seed=8)}
     assert "theorem_equality" in names
     assert "weichsel_iff" in names
+
+
+def test_theorem_checks_below_n3_is_the_direct_record(capsys):
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    reports = theorem_checks(p3, 2)
+    assert [r.check_name for r in reports] == ["direct_kappa"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify-theorem", "--exhaustive", "3", "-n", "2", "--direct"]) == 0
+    assert reports[0].to_json() + "\n" in out.getvalue().splitlines(keepends=True)
+
+
+def test_lemma_checks_below_n3_draws_no_quotients():
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    names = [r.check_name for r in lemma_checks(p3, 2, separator_samples=5)]
+    assert names == ["weichsel_iff", "degree_product", "deletion_monotonicity"]
+
+
+def test_run_sweep_is_lazy(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return instance_checks(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "instance_checks", counted)
+    first = next(run_sweep(small_config()))
+    assert first.check_name == "theorem_equality"
+    assert len(calls) == 1
