@@ -19,6 +19,13 @@ def _disjoint_paths(rows, s, t, cutoff):
       v_out -> w_in   for a neighbour w, unless w == nxt[v];
       v_in  -> v_out  when v carries no flow;
       v_out -> v_in   and   v_in -> prv[v]_out   when it does.
+    So each in-node other than t_in leaves by one arc, and each out-node
+    other than s_out is entered by one: v_out from v_in when v is free, from
+    nxt[v]_in when it carries flow.
+
+    Flow grows in Dinic phases (Even & Tarjan, SIAM J. Comput. 4, 1975): one
+    levelled search, then every shortest augmenting path pushed, so a flow
+    of value k needs O(sqrt(V)) searches rather than k.
     """
     # common neighbours give disjoint two-edge paths outright
     common = rows[s] & rows[t]
@@ -28,7 +35,6 @@ def _disjoint_paths(rows, s, t, cutoff):
     n = len(rows)
     prv = [-1] * n
     nxt = [-1] * n
-    parent = [-1] * n
     used = common  # vertices carrying a unit of flow
     m = common
     while m:
@@ -37,74 +43,92 @@ def _disjoint_paths(rows, s, t, cutoff):
         m ^= low
         prv[w] = s
         nxt[w] = t
-    while flow < cutoff and _augmenting_path(rows, s, t, used, prv, parent):
-        # walk the path back from t_in and push one unit along it
-        w = t
+    while flow < cutoff:
+        levels = _augmenting_path(rows, s, t, used, prv)
+        if levels is None:
+            break
+        # Depth first back from t_in, one level down per step. The out-nodes
+        # of levels[k] that precede in-node w are its neighbours and, when w
+        # carries flow, w itself (the arc w_out -> w_in); a free w_out sits
+        # one level above w_in, so its bit is harmless. The one saturated arc
+        # into w_in, from prv[w]_out, also starts one level up. The in-node
+        # before u_out is u_in or nxt[u]_in, so no parents are stored.
+        # blocked: out-nodes on a pushed path (their one entering arc is now
+        # saturated) or that reach no s_out; neither can carry more this phase
+        blocked = 0
+        ins = [t]  # ins[i] is the in-node entered from path[i]
+        path = []  # out-nodes, from the last level down
+        top = len(levels) - 1
         while True:
-            u = parent[w]
-            if u == w:
-                # v_out -> v_in: both of w's flow arcs are cancelled, so w is
-                # free again; w_out was reached from nxt[w]_in
-                used &= ~(1 << w)
-                w = nxt[w]
+            w = ins[-1]
+            k = top - len(path)
+            cand = levels[k] & (rows[w] | 1 << w) & ~blocked
+            if not cand:
+                if not path:
+                    break  # t_in has no live predecessor: the phase is over
+                blocked |= 1 << path.pop()  # a dead end
+                ins.pop()
                 continue
-            prv[w] = u
-            if u == s:
+            u = (cand & -cand).bit_length() - 1
+            if k:
+                path.append(u)
+                ins.append(nxt[u] if used >> u & 1 else u)
+                continue
+            # u is s: push one unit along s_out -> w_in -> path[-1]_out ... t_in
+            prv[w] = s
+            for w, u in zip(ins, path):
+                blocked |= 1 << u
+                if u == w:
+                    used ^= 1 << w  # both flow arcs of w are cancelled
+                else:
+                    prv[w] = u
+                    nxt[u] = w
+                    used |= 1 << u
+            flow += 1
+            if flow == cutoff:
                 break
-            if used >> u & 1:
-                # u_out was reached from nxt[u]_in, whose arc from u is cancelled
-                w, nxt[u] = nxt[u], w
-            else:
-                used |= 1 << u
-                nxt[u] = w
-                w = u
-        flow += 1
+            del ins[1:]
+            path.clear()
     return flow
 
 
-def _augmenting_path(rows, s, t, used, prv, parent):
-    """Breadth-first search of the residual graph from s_out to t_in, one
-    layer of out-nodes and one of in-nodes at a time. On success parent[w]
-    names the out-node that reached in-node w (w itself for w_out -> w_in).
+def _augmenting_path(rows, s, t, used, prv):
+    """Levelled breadth-first search of the residual graph from s_out:
+    levels[k] is the mask of out-nodes at distance 2k, and the list ends
+    with the level whose out-nodes reach t_in. None when t_in is unreachable.
 
-    The only way into v_out of a flow-carrying v is from nxt[v]_in, so only
-    in-nodes need a parent slot, and the saturated arc v_out -> nxt[v]_in
-    needs no check: its head is already seen when v_out is expanded (t_in is
-    never expanded, so no v_out with nxt[v] == t is reached at all). Nor do
-    the saturated arcs s_out -> w_in: from such a w_in the only residual arc
-    leads back to s_out, so the search dead-ends there either way.
+    Each level's in-nodes are one OR of rows over the level, plus v_in for a
+    flow-carrying v (the arc v_out -> v_in). The saturated arc
+    v_out -> nxt[v]_in needs no check: v_out is entered only from nxt[v]_in,
+    which is therefore already seen (t_in is never expanded, so no v_out with
+    nxt[v] == t is reached at all). Nor do the saturated arcs s_out -> w_in:
+    from such a w_in the only residual arc leads back to s_out.
     """
-    t_bit = 1 << t
-    seen_in = front_out = 1 << s
-    while front_out:
-        front_in = 0
-        while front_out:
-            low = front_out & -front_out
-            v = low.bit_length() - 1
-            front_out ^= low
-            cand = rows[v] & ~seen_in
-            if used & low and not seen_in & low:
-                cand |= low
-            if cand & t_bit:
-                parent[t] = v
-                return True
-            seen_in |= cand
-            front_in |= cand
-            while cand:
-                low = cand & -cand
-                parent[low.bit_length() - 1] = v
-                cand ^= low
+    seen_in = front = 1 << s
+    levels = []
+    while front:
+        levels.append(front)
+        grown = front & used
+        m = front
+        while m:
+            low = m & -m
+            grown |= rows[low.bit_length() - 1]
+            m ^= low
+        if grown >> t & 1:
+            return levels
+        grown &= ~seen_in
+        seen_in |= grown
         # free in-nodes pass to their own out-node; a flow-carrying one steps
         # back to its predecessor's out-node (s_out is the origin)
-        front_out = front_in & ~used
-        m = front_in & used
+        front = grown & ~used
+        m = grown & used
         while m:
             low = m & -m
             p = prv[low.bit_length() - 1]
             m ^= low
             if p != s:
-                front_out |= 1 << p
-    return False
+                front |= 1 << p
+    return None
 
 
 def kappa_from_matrix(rows, floor=None):

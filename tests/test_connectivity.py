@@ -19,6 +19,7 @@ from kronkappa import (
     random_connected_graph,
     random_graph,
 )
+from kronkappa import _kernels
 from kronkappa._kernels import _disjoint_paths, kappa_from_matrix
 
 from conftest import graph_strategy, ref_is_separator, ref_kappa, ref_min_vertex_cut
@@ -113,8 +114,9 @@ def test_product_flow_matches_networkx(seed):
 
 
 def test_disjoint_paths_match_networkx_on_every_pair():
-    """Uncapped flows between every non-adjacent pair, so later augmenting
-    paths walk back through vertices whose flow earlier ones rerouted."""
+    """Flows between every non-adjacent pair, so later augmenting paths walk
+    back through vertices whose flow earlier ones rerouted. Every cutoff c
+    from 1 to n gives min(local connectivity, c): no phase runs past it."""
     graphs = [random_graph(9 + seed % 6, 0.3, seed) for seed in range(12)]
     # a path here must reroute a vertex's outgoing unit and a later one then
     # cancels that new unit; a stale successor made the walk loop forever
@@ -126,8 +128,9 @@ def test_disjoint_paths_match_networkx_on_every_pair():
         reference = _to_networkx(g)
         for s, t in combinations(range(n), 2):
             if not g.has_edge(s, t):
-                assert (_disjoint_paths(rows, s, t, n)
-                        == local_node_connectivity(reference, s, t)), (g, s, t)
+                paths = local_node_connectivity(reference, s, t)
+                for c in range(1, n + 1):
+                    assert _disjoint_paths(rows, s, t, c) == min(paths, c), (g, s, t, c)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -160,6 +163,26 @@ def test_disjoint_paths_reroute_along_a_flow_path():
     for edges, n, paths in ((core, 11, 2), (core + through_v, 21, 3)):
         rows = [Graph(n, edges).adjacency_mask(x) for x in range(n)]
         assert _disjoint_paths(rows, s, t, n) == paths
+
+
+def test_disjoint_paths_phase_passes_a_dead_end(monkeypatch):
+    """s-a-c-t, s-a-d-t and s-b-e-t are all shortest, so one levelled search
+    serves them. Walking back from t the phase pushes s-a-c-t; then d, the
+    lowest candidate left, is entered only from a, which now carries flow, so
+    d is a dead end and e gives s-b-e-t. Two paths in one phase, and the
+    second search finds t unreachable."""
+    s, t, a, b, c, d, e = range(7)
+    edges = [(s, a), (s, b), (a, c), (a, d), (b, e), (c, t), (d, t), (e, t)]
+    rows = [Graph(7, edges).adjacency_mask(x) for x in range(7)]
+    searches = []
+    search = _kernels._augmenting_path
+    monkeypatch.setattr(_kernels, "_augmenting_path",
+                        lambda *args: searches.append(args) or search(*args))
+    assert _disjoint_paths(rows, s, t, 7) == 2
+    assert len(searches) == 2
+    searches.clear()
+    assert _disjoint_paths(rows, s, t, 1) == 1
+    assert len(searches) == 1
 
 
 def test_is_separator_cases():
