@@ -37,8 +37,8 @@ ORACLES = ("brute", "flow", "both")
 class InstanceFacts:
     """One instance's facts: the factor G with its graph6 record, kappa(G),
     delta(G) and bipartiteness, and a second factor H, which is K_n unless
-    given. The product G x H is built on first use and kept, so the checks of
-    one instance share it. A G on two or more vertices is connected exactly
+    given. The product G x H and the closed form are computed on first use and
+    kept, so the checks of one instance share them. A G on two or more vertices is connected exactly
     when kappa(G) > 0.
     """
 
@@ -55,7 +55,7 @@ class InstanceFacts:
     def product(self) -> Graph:
         return direct_product(self.g, self.h).graph
 
-    @property
+    @cached_property
     def closed_form(self) -> FormulaResult:
         return formula_kappa_product(self.kappa_g, self.delta_g, self.n)
 
@@ -106,8 +106,6 @@ def _weichsel_iff(f: InstanceFacts):
 
 def _degree_product(f: InstanceFacts):
     """Minimum degree of the product vs the product of minimum degrees."""
-    if f.g.vertex_count == 0 or f.h.vertex_count == 0:
-        raise ValueError("minimum degree undefined for empty factors")
     delta_h = min_degree(f.h)
     delta_product = min_degree(f.product)
     agree = delta_product == f.delta_g * delta_h
@@ -135,22 +133,19 @@ def _layer_in_component(f: InstanceFacts, S):
     """Below the bound, each layer remainder must land in one component of
     the punctured product (so S cannot split any single layer across parts)."""
     quotient = build_quotient(f.g, f.n, S, kappa_g=f.kappa_g)
-    rows, n = f.product._adj, f.n
-    kept = (1 << len(rows)) - 1
-    for v in quotient.removed:
-        kept &= ~(1 << v)
+    # build_quotient has checked that S leaves each layer nonempty
+    remainders = [sum(1 << v for v in rem) for rem in quotient.remainders]
+    kept = sum(remainders)  # the layers are disjoint
+    rows = f.product._adj
     component = 0  # the component reached last
     all_within = True
-    for i in range(f.g.vertex_count):
-        # layer i is product vertices i*n .. i*n + n - 1; build_quotient
-        # has checked that S leaves each one nonempty
-        remainder = kept & (((1 << n) - 1) << (i * n))
+    for remainder in remainders:
         if not remainder & component:
             component = _reach(rows, remainder & -remainder, kept)
         if remainder & ~component:
             all_within = False
             break
-    return {"layers": f.g.vertex_count, "all_in_one_component": all_within}, all_within
+    return {"layers": len(remainders), "all_in_one_component": all_within}, all_within
 
 
 def _complete_product(f: InstanceFacts):
@@ -226,16 +221,29 @@ def lemma_battery(f: InstanceFacts, seed: int = 0, separator_samples: int = 1):
             yield run_check("layer_in_component", f, dict(with_s), S=chosen)
 
 
+#: inputs ``rerun_check`` needs besides the two factors: n where a check reads
+#: the closed form or the layer size, and the quotient checks' separator S
+_RERUN_INPUTS = {"theorem_equality": ("n",), "witness_soundness": ("n",),
+                 "complete_product": ("n",), "quotient_connected": ("n", "S"),
+                 "layer_in_component": ("n", "S")}
+
+
 def rerun_check(report: VerificationReport) -> str:
     """Recompute a report's verdict from its serialised inputs alone: parse the
     instance back from ``inputs`` (and a theorem report's oracles from its
     ``kappa_*`` fields), then run the check's table entry on fresh facts.
-    Raises ValueError for a check_name the table does not have.
+    Raises ValueError for a check_name the table does not have, or inputs
+    that lack what the check reads.
     """
     check = CHECKS.get(report.check_name)
     if check is None:
         raise ValueError(f"cannot rerun unknown check {report.check_name!r}")
     ins = report.inputs
+    needed = ["m" if "m" in ins else "graph6", "graph6_h" if "graph6_h" in ins else "n",
+              *_RERUN_INPUTS.get(report.check_name, ())]
+    missing = [key for key in needed if ins.get(key) is None]
+    if missing:
+        raise ValueError(f"cannot rerun {report.check_name!r}: its inputs lack {missing[0]!r}")
     g = complete_graph(ins["m"]) if "m" in ins else parse_graph6(ins["graph6"])
     h = parse_graph6(ins["graph6_h"]) if "graph6_h" in ins else None
     params = {"S": ins["S"]} if "S" in ins else {}

@@ -73,13 +73,12 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    if args.n < 1:
-        raise ValueError("complete factor needs at least one vertex")
+    k_n = complete_graph(args.n)
     graphs = _load_graphs(args.file)
     if args.emit == "edges" and len(graphs) > 1:
         raise ValueError("--emit edges works on a single input graph")
     for g in graphs:
-        product = direct_product(g, complete_graph(args.n)).graph
+        product = direct_product(g, k_n).graph
         if args.emit == "g6":
             print(write_graph6(product))
         else:

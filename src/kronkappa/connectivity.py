@@ -59,8 +59,6 @@ def min_vertex_cut(g: Graph) -> CutWitness:
     vertices but the last, leaving a single vertex.
     """
     n = g.vertex_count
-    if n == 0:
-        raise ValueError("minimum cut undefined for the empty graph")
     k = kappa(g)
     if k == n - 1:
         # kappa == n-1 happens exactly for complete graphs (K1 included)

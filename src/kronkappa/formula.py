@@ -65,9 +65,6 @@ def formula_kappa_product(kappa_g: int, delta_g: int, n: int) -> FormulaResult:
 
 def kappa_product_fast(g: Graph, n: int) -> int:
     """kappa(G x K_n) by the closed form, without building the product."""
-    _require_applicable(n)
-    if g.vertex_count == 0:
-        raise ValueError("connectivity undefined for the empty factor")
     return formula_kappa_product(kappa(g), min_degree(g), n).value
 
 
@@ -129,12 +126,11 @@ def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> 
     """Validates that S is small enough (|S| < min(n*kappa, (n-1)*delta)) and
     leaves every layer nonempty, then contracts layers. A caller that already
     holds kappa(G) passes it as ``kappa_g``."""
-    _require_applicable(n)
     if kappa_g is None:
         kappa_g = kappa(g)
+    bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
     if kappa_g == 0:
         raise ValueError("quotient needs a connected factor with kappa >= 1")
-    bound = formula_kappa_product(kappa_g, min_degree(g), n).value
     m = g.vertex_count
     removed = frozenset(removed)
     for v in removed:
@@ -170,12 +166,11 @@ def sample_separator(g: Graph, n: int, rng: Random, *,
     the size is redrawn; after 1000 sizes it gives up). A caller that already
     holds kappa(G) passes it as ``kappa_g``.
     """
-    _require_applicable(n)
     if kappa_g is None:
         kappa_g = kappa(g)
+    bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
     if kappa_g == 0:
         raise ValueError("no candidate separators exist for a factor with kappa = 0")
-    bound = formula_kappa_product(kappa_g, min_degree(g), n).value
     total = g.vertex_count * n
     for _ in range(1000):
         size = rng.randrange(bound)

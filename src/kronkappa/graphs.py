@@ -7,7 +7,6 @@ integer operations per step.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from ._kernels import _drop, _reach
@@ -153,50 +152,40 @@ class OddCycleStatus:
 
 
 def odd_cycle_status(g: Graph) -> OddCycleStatus:
-    """Two-colour by BFS; a same-colour edge closes an odd cycle through the
-    tree paths to the endpoints' lowest common ancestor."""
+    """Two-colour each component by the parity of its breadth-first levels,
+    grown as masks from the component's lowest vertex. An edge inside one
+    level closes an odd cycle: its two ends step down a level at a time, each
+    to its lowest neighbour there, until the two walks meet."""
     rows = g._adj
-    n = len(rows)
-    color = [-1] * n
-    parent = [-1] * n
-    depth = [0] * n
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in bit_indices(rows[u]):
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return OddCycleStatus(None, _cycle_through(u, v, parent, depth))
-    side0 = frozenset(v for v in range(n) if color[v] == 0)
-    side1 = frozenset(v for v in range(n) if color[v] == 1)
-    return OddCycleStatus((side0, side1), None)
-
-
-def _cycle_through(u: int, v: int, parent: list[int], depth: list[int]) -> tuple[int, ...]:
-    # walk both endpoints up to their LCA; u and v have equal colour, hence
-    # equal depth parity, so the resulting cycle length is odd
-    path_u, path_v = [u], [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = parent[a]
-        path_u.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        path_v.append(b)
-    while a != b:
-        a = parent[a]
-        path_u.append(a)
-        b = parent[b]
-        path_v.append(b)
-    return tuple(path_u + path_v[-2::-1])
+    sides = [0, 0]
+    rest = (1 << len(rows)) - 1
+    while rest:
+        levels = []
+        front = rest & -rest
+        while front:
+            rest ^= front
+            sides[len(levels) & 1] |= front
+            levels.append(front)
+            grown = 0
+            m = front
+            while m:
+                low = m & -m
+                m ^= low
+                u = low.bit_length() - 1
+                inside = rows[u] & front
+                if inside:
+                    a, b = [u], [(inside & -inside).bit_length() - 1]
+                    k = len(levels) - 1
+                    while a[-1] != b[-1]:
+                        k -= 1
+                        for walk in (a, b):
+                            down = rows[walk[-1]] & levels[k]
+                            walk.append((down & -down).bit_length() - 1)
+                    return OddCycleStatus(None, tuple(a + b[-2::-1]))
+                grown |= rows[u]
+            front = grown & rest
+    return OddCycleStatus((frozenset(bit_indices(sides[0])),
+                           frozenset(bit_indices(sides[1]))), None)
 
 
 def delete_vertex(g: Graph, u: int) -> tuple[Graph, dict[int, int]]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,13 @@ class VerificationReport:
 
     @classmethod
     def from_json(cls, line: str) -> "VerificationReport":
+        """One wire line back; ValueError naming each field it lacks."""
         raw = json.loads(line)
-        return cls(check_name=raw["check_name"], inputs=raw["inputs"],
-                   computed=raw["computed"], verdict=raw["verdict"],
-                   elapsed_ms=raw["elapsed_ms"])
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if not isinstance(raw, dict) or name not in raw]
+        if missing:
+            raise ValueError(f"report line lacks {', '.join(missing)}")
+        return cls(*(raw[name] for name in names))
 
 
 def reports_to_json_lines(reports, *, timings: bool = False) -> str:

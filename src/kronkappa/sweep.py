@@ -124,6 +124,7 @@ def run_sweep(config: SweepConfig) -> Iterator[VerificationReport]:
     each instance's reports as soon as that instance is done."""
     instances = ((g, n) for g in _sweep_graphs(config) for n in config.n_values)
     for index, (g, n) in enumerate(instances):
+        # called by name: perfbench/worker.py rebinds it to time each instance
         yield from instance_checks(g, n, oracle=config.oracle,
                                    seed=instance_seed(config.seed, index))
 
@@ -151,4 +152,5 @@ def instance_checks(g: Graph, n: int, *, oracle: str = "flow",
                     seed: int = 0) -> list[VerificationReport]:
     """Both batteries for one factor and one n, over one ``InstanceFacts``."""
     facts = InstanceFacts(g, n)
+    # a list, so a wrapper timing this call times the whole instance
     return [*theorem_battery(facts, oracle), *lemma_battery(facts, seed)]

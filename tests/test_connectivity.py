@@ -39,6 +39,9 @@ def cycle(n):
     (cycle(5), 2),
     (complete_graph(5), 4),
     (Graph(4, [(0, 1), (2, 3)]), 0),
+    # delta 5 and flows from v_min = 0 give 5: every minimum cut, such as
+    # {0, 5, 6, 7}, holds v_min, so only a pair in its neighbourhood finds 4
+    (parse_graph6("G{fzzw"), 4),
 ])
 def test_kappa_known_values(g, expected):
     assert kappa(g) == expected

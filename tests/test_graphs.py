@@ -139,6 +139,19 @@ def test_triangle_has_odd_cycle():
     assert len(status.odd_cycle) == 3
 
 
+@pytest.mark.parametrize("g,cycle", [
+    # a triangle 2-3-4 hung on the path 0-1-2: the walks down from 3 and 4
+    # meet at 2, so the cycle is the triangle and avoids the root 0
+    (Graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)]), [2, 3, 4]),
+    # a C4 on 0..3 beside a triangle on 4..6: only the second component is odd
+    (Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)]), [4, 5, 6]),
+])
+def test_odd_cycle_is_the_triangle(g, cycle):
+    status = odd_cycle_status(g)
+    assert status.bipartition is None
+    assert sorted(status.odd_cycle) == cycle
+
+
 def test_even_cycle_bipartition():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     status = odd_cycle_status(g)

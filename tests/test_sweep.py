@@ -173,6 +173,26 @@ def test_rerun_check_unknown_name():
         rerun_check(VerificationReport("no_such_check", {}, {}, "pass"))
 
 
+@pytest.mark.parametrize("name,inputs,missing", [
+    ("theorem_equality", {"graph6": "Bw", "graph6_h": "Bw"}, "'n'"),
+    ("theorem_equality", {"graph6": "Bw"}, "'n'"),
+    ("complete_product", {"m": 3}, "'n'"),
+    ("quotient_connected", {"graph6": "Bw", "n": 3}, "'S'"),
+    ("witness_soundness", {"n": 3}, "'graph6'"),
+])
+def test_rerun_check_names_a_missing_input(name, inputs, missing):
+    with pytest.raises(ValueError, match=f"{name}.*{missing}"):
+        rerun_check(VerificationReport(name, inputs, {"agree": True}, "pass"))
+
+
+def test_report_line_without_a_field_is_refused():
+    line = VerificationReport("x", {"n": 3}, {"agree": True}, "pass").to_json()
+    with pytest.raises(ValueError, match="verdict"):
+        VerificationReport.from_json(line.replace('"verdict"', '"result"'))
+    with pytest.raises(ValueError, match="check_name"):
+        VerificationReport.from_json("[]")
+
+
 def test_theorem_checks_oracle_selection():
     g = Graph(3, [(0, 1), (1, 2)])
     flow_only = theorem_checks(g, 3, oracle="flow")[0]
