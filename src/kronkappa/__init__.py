@@ -50,11 +50,11 @@ from .graphio import (
     write_graph6,
 )
 from .graphs import (
+    VERTEX_CAP,
     Graph,
     OddCycleStatus,
     connected_components,
     delete_vertex,
-    induced_subgraph,
     min_degree,
     odd_cycle_status,
 )
@@ -86,6 +86,7 @@ __all__ = [
     "ProductGraph",
     "QuotientGraph",
     "SweepConfig",
+    "VERTEX_CAP",
     "VerificationReport",
     "all_labeled_graphs",
     "brute_force_kappa",
@@ -100,7 +101,6 @@ __all__ = [
     "delete_vertex",
     "direct_product",
     "formula_kappa_product",
-    "induced_subgraph",
     "instance_checks",
     "instance_seed",
     "is_separator",

@@ -22,6 +22,7 @@ from .formula import (FormulaResult, build_quotient, formula_kappa_product, samp
                       witness_vertices)
 from .graphio import parse_graph6, write_graph6
 from .graphs import (
+    VERTEX_CAP,
     Graph,
     connected_components,
     delete_vertex,
@@ -137,14 +138,9 @@ def _layer_in_component(f: InstanceFacts, S):
     remainders = [sum(1 << v for v in rem) for rem in quotient.remainders]
     kept = sum(remainders)  # the layers are disjoint
     rows = f.product._adj
-    component = 0  # the component reached last
-    all_within = True
-    for remainder in remainders:
-        if not remainder & component:
-            component = _reach(rows, remainder & -remainder, kept)
-        if remainder & ~component:
-            all_within = False
-            break
+    # a remainder lies in one component when the reach from its lowest vertex,
+    # inside the kept vertices, covers it
+    all_within = all(not rem & ~_reach(rows, rem & -rem, kept) for rem in remainders)
     return {"layers": len(remainders), "all_in_one_component": all_within}, all_within
 
 
@@ -228,25 +224,46 @@ _RERUN_INPUTS = {"theorem_equality": ("n",), "witness_soundness": ("n",),
                  "layer_in_component": ("n", "S")}
 
 
+#: the type of each input ``rerun_check`` reads, S holding integers; no bool
+#: passes for an integer, nor one above VERTEX_CAP (with a given H, n sizes
+#: the witness and the layers, not a built K_n)
+_INPUT_TYPES = {"graph6": str, "graph6_h": str, "m": int, "n": int, "S": list}
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    if kind is list:
+        return all(_fits(v, int) for v in value)
+    return kind is str or value <= VERTEX_CAP
+
+
 def rerun_check(report: VerificationReport) -> str:
     """Recompute a report's verdict from its serialised inputs alone: parse the
     instance back from ``inputs`` (and a theorem report's oracles from its
     ``kappa_*`` fields), then run the check's table entry on fresh facts.
-    Raises ValueError for a check_name the table does not have, or inputs
-    that lack what the check reads.
+    Raises ValueError for a check_name the table does not have, and for
+    inputs or computed fields that are not objects, lack what the check
+    reads or hold it with the wrong type.
     """
-    check = CHECKS.get(report.check_name)
+    name = report.check_name
+    check = CHECKS.get(name) if isinstance(name, str) else None
     if check is None:
-        raise ValueError(f"cannot rerun unknown check {report.check_name!r}")
+        raise ValueError(f"cannot rerun unknown check {name!r}")
     ins = report.inputs
+    if not isinstance(ins, dict) or not isinstance(report.computed, dict):
+        raise ValueError(f"cannot rerun {name!r}: its inputs and computed must be objects")
     needed = ["m" if "m" in ins else "graph6", "graph6_h" if "graph6_h" in ins else "n",
-              *_RERUN_INPUTS.get(report.check_name, ())]
+              *_RERUN_INPUTS.get(name, ())]
     missing = [key for key in needed if ins.get(key) is None]
     if missing:
-        raise ValueError(f"cannot rerun {report.check_name!r}: its inputs lack {missing[0]!r}")
+        raise ValueError(f"cannot rerun {name!r}: its inputs lack {missing[0]!r}")
+    wrong = [key for key, kind in _INPUT_TYPES.items() if key in ins and not _fits(ins[key], kind)]
+    if wrong:
+        raise ValueError(f"cannot rerun {name!r}: input {wrong[0]!r} has the wrong type")
     g = complete_graph(ins["m"]) if "m" in ins else parse_graph6(ins["graph6"])
     h = parse_graph6(ins["graph6_h"]) if "graph6_h" in ins else None
-    params = {"S": ins["S"]} if "S" in ins else {}
+    params = {"S": ins["S"]} if "S" in _RERUN_INPUTS.get(name, ()) else {}
     oracles = [o for o in ("flow", "brute") if f"kappa_{o}" in report.computed]
     if oracles:
         params["oracle"] = "both" if len(oracles) == 2 else oracles[0]

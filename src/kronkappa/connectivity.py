@@ -24,9 +24,6 @@ class CutWitness:
     residual_verdict: str
     branch: str | None = None
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
 
 def kappa(g: Graph) -> int:
     """Vertex connectivity. 0 for disconnected graphs and for K1, n-1 for Kn."""
@@ -45,8 +42,7 @@ def is_separator(g: Graph, vertices) -> bool:
     n = g.vertex_count
     removed = 0
     for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range for vertex count {n}")
+        g._check_vertex(v)
         removed |= 1 << v
     rest = ((1 << n) - 1) & ~removed
     return rest != 0 and not _still_connected(g._adj, rest)
@@ -110,10 +106,11 @@ def brute_force_kappa(g: Graph) -> int:
 
 
 def require_brute_force_budget(vertex_count: int, delta: int) -> None:
-    """ValueError when sum(C(vertex_count, j) for j <= delta), the subsets the
-    oracle may try, is above ``BRUTE_FORCE_BUDGET``."""
-    subsets = sum(comb(vertex_count, j) for j in range(delta + 1))
-    if subsets > BRUTE_FORCE_BUDGET:
-        raise ValueError(f"brute force on {vertex_count} vertices of minimum degree {delta} "
-                         f"may try {subsets} deletion subsets, above the oracle budget "
-                         f"{BRUTE_FORCE_BUDGET}")
+    """ValueError once sum(C(vertex_count, j) for j <= delta), the subsets the
+    oracle may try, passes ``BRUTE_FORCE_BUDGET``; summing stops there."""
+    subsets = 0
+    for j in range(delta + 1):
+        subsets += comb(vertex_count, j)
+        if subsets > BRUTE_FORCE_BUDGET:
+            raise ValueError(f"brute force on {vertex_count} vertices of minimum degree {delta} "
+                             f"may try over {BRUTE_FORCE_BUDGET} deletion subsets, its budget")

@@ -75,10 +75,10 @@ def witness_cut(g: Graph, n: int) -> CutWitness:
     the actual product before being returned.
     """
     result = formula_kappa_product(kappa(g), min_degree(g), n)
+    product = direct_product(g, complete_graph(n)).graph  # refuses an n above the cap
     chosen, branch = witness_vertices(g, result)
     if len(chosen) != result.value:
         raise AssertionError("witness size does not match the closed form")
-    product = direct_product(g, complete_graph(n)).graph
     if not is_separator(product, chosen):
         raise AssertionError("constructed witness does not separate the product")
     left = product.vertex_count - len(chosen)

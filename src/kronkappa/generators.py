@@ -6,29 +6,24 @@ the same graph in any process, which the sweep harness relies on.
 
 from __future__ import annotations
 
-import heapq
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 from typing import Iterator
 
-from .graphs import Graph, connected_components
+from .graphs import Graph, _require_within_cap, bit_indices, connected_components
 
 _CONNECT_RETRIES = 32
 
 
-def _sample_masks(n: int, p: float, rng: Random) -> list[int]:
-    masks = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-    return masks
+def _sample(n: int, pairs, p: float, rng: Random) -> Graph:
+    """The graph on n vertices keeping each of ``pairs``, in order, with probability p."""
+    return Graph(n, [pair for pair in pairs if rng.random() < p])
 
 
 def _check_args(n: int, p: float) -> None:
     if n < 1:
         raise ValueError("need at least one vertex")
+    _require_within_cap(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
 
@@ -36,12 +31,14 @@ def _check_args(n: int, p: float) -> None:
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with an explicit seed."""
     _check_args(n, p)
-    return Graph.from_adjacency(_sample_masks(n, p, Random(seed)))
+    return _sample(n, combinations(range(n), 2), p, Random(seed))
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
-    """Connected G(n, p): resample up to ``_CONNECT_RETRIES`` times, then
-    overlay a uniform random spanning tree on the last sample.
+    """Connected G(n, p): resample up to ``_CONNECT_RETRIES`` times; if every
+    sample is disconnected, join each later component of the last sample by
+    one edge to a vertex of the earlier components, both ends drawn from the
+    same seeded generator.
 
     p = 0 with n >= 2 cannot come out connected and is rejected once the
     retry budget is spent.
@@ -49,58 +46,26 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     _check_args(n, p)
     rng = Random(seed)
     for _ in range(_CONNECT_RETRIES):
-        g = Graph.from_adjacency(_sample_masks(n, p, rng))
+        g = _sample(n, combinations(range(n), 2), p, rng)
         if len(connected_components(g)) == 1:
             return g
     if p == 0.0:
         raise ValueError(
             f"p=0 on {n} vertices cannot give a connected graph ({_CONNECT_RETRIES} retries spent)")
-    masks = list(g._adj)
-    for u, v in _random_tree_edges(n, rng):
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return Graph.from_adjacency(masks)
-
-
-def _random_tree_edges(n: int, rng: Random) -> list[tuple[int, int]]:
-    # uniform labelled tree via a Pruefer sequence
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    # after consuming the sequence exactly two leaves remain; join them
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return edges
+    edges = g.edge_list()
+    earlier, *later = connected_components(g)
+    for component in later:
+        edges.append((rng.choice(component), rng.choice(earlier)))
+        earlier += component
+    return Graph(n, edges)
 
 
 def random_bipartite_graph(a: int, b: int, p: float, seed: int) -> Graph:
     """Bipartite G(a, b, p): sides {0..a-1} and {a..a+b-1}, cross edges only."""
     if a < 1 or b < 1:
         raise ValueError("both sides need at least one vertex")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    rng = Random(seed)
-    masks = [0] * (a + b)
-    for u in range(a):
-        for v in range(a, a + b):
-            if rng.random() < p:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-    return Graph.from_adjacency(masks)
+    _check_args(a + b, p)
+    return _sample(a + b, product(range(a), range(a, a + b)), p, Random(seed))
 
 
 def labeled_graphs(m: int) -> Iterator[Graph]:
@@ -109,17 +74,7 @@ def labeled_graphs(m: int) -> Iterator[Graph]:
         raise ValueError("need at least one vertex")
     pairs = list(combinations(range(m), 2))
     for subset in range(1 << len(pairs)):
-        masks = [0] * m
-        rest = subset
-        idx = 0
-        while rest:
-            if rest & 1:
-                u, v = pairs[idx]
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-            rest >>= 1
-            idx += 1
-        yield Graph.from_adjacency(masks)
+        yield Graph(m, [pairs[i] for i in bit_indices(subset)])
 
 
 def all_labeled_graphs(max_vertices: int) -> Iterator[Graph]:

@@ -11,6 +11,15 @@ from dataclasses import dataclass
 
 from ._kernels import _drop, _reach
 
+#: most vertices of a graph built from a count rather than from rows already
+#: held (``from_adjacency``); its rows take VERTEX_CAP**2 / 8 bytes, 128 KB
+VERTEX_CAP = 1024
+
+
+def _require_within_cap(count: int) -> None:
+    if count > VERTEX_CAP:
+        raise ValueError(f"{count} vertices is above the vertex cap {VERTEX_CAP}")
+
 
 def bit_indices(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
@@ -30,9 +39,9 @@ class Graph:
     def __init__(self, vertex_count: int, edges=()):
         if vertex_count < 0:
             raise ValueError(f"vertex count must be nonnegative, got {vertex_count}")
+        _require_within_cap(vertex_count)
         adj = [0] * vertex_count
-        for edge in edges:
-            u, v = edge
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v}) not allowed")
             if not (0 <= u < vertex_count) or not (0 <= v < vertex_count):
@@ -61,11 +70,6 @@ class Graph:
     @property
     def vertex_count(self) -> int:
         return len(self._adj)
-
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Edge set as (u, v) pairs with u < v."""
-        return frozenset(self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Edges as (u, v) pairs with u < v; walking the rows gives sorted order."""
@@ -197,18 +201,7 @@ def delete_vertex(g: Graph, u: int) -> tuple[Graph, dict[int, int]]:
     n = g.vertex_count
     if n < 2:
         raise ValueError("vertex deletion needs a graph with at least two vertices")
-    if not 0 <= u < n:
-        raise ValueError(f"vertex {u} out of range for vertex count {n}")
+    g._check_vertex(u)
     labels = {v: v - (v > u) for v in range(n) if v != u}
     return Graph.from_adjacency(_drop(g._adj, u)), labels
 
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Subgraph induced on ``vertices``, relabelled 0..k-1 in sorted order."""
-    chosen = sorted(set(vertices))
-    for v in chosen:
-        g._check_vertex(v)
-    # bit k of a new row is bit chosen[k] of the old one
-    rows = g._adj
-    return Graph.from_adjacency(
-        sum(((rows[old] >> w) & 1) << k for k, w in enumerate(chosen)) for old in chosen)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bit_indices
+from .graphs import Graph, _require_within_cap, bit_indices
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class ProductGraph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    _require_within_cap(n)
     full = (1 << n) - 1
     return Graph.from_adjacency([full ^ (1 << v) for v in range(n)])
 
@@ -45,6 +46,7 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     if g.vertex_count == 0 or h.vertex_count == 0:
         raise ValueError("direct product needs nonempty factors")
     hn = h.vertex_count
+    _require_within_cap(g.vertex_count * hn)
     # Row (u, i) of A(G) kron A(H) is spread[u] * row i of H, where spread[u]
     # has bit w * |V(H)| for each w ~ u; an H row is below 2**|V(H)|, so the
     # shifted copies do not overlap and the multiply never carries.

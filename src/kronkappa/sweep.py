@@ -46,7 +46,7 @@ class SweepConfig:
     mode "exhaustive": every labelled graph on 1..max_vertices vertices.
     mode "random": sample_count draws of G(max_vertices, edge_probability).
     oracle picks what the closed form is compared against; an exhaustive
-    family whose brute force would exceed its budget is refused here.
+    family is checked here by ``require_exhaustive_family``.
     """
 
     max_vertices: int
@@ -77,9 +77,6 @@ class SweepConfig:
             raise ValueError(f"oracle must be one of {ORACLES}, got {self.oracle!r}")
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be at least 1")
-        if self.mode == "exhaustive" and self.max_vertices > EXHAUSTIVE_VERTEX_CAP:
-            raise ValueError(
-                f"exhaustive sweeps are capped at {EXHAUSTIVE_VERTEX_CAP} vertices")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
         for n in self.n_values:
@@ -90,7 +87,7 @@ class SweepConfig:
         if not 0.0 <= self.edge_probability <= 1.0:
             raise ValueError("edge_probability must lie in [0, 1]")
         if self.mode == "exhaustive":
-            require_exhaustive_budget(self.max_vertices, self.n_values, self.oracle)
+            require_exhaustive_family(self.max_vertices, self.n_values, self.oracle)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "SweepConfig":
@@ -129,9 +126,13 @@ def run_sweep(config: SweepConfig) -> Iterator[VerificationReport]:
                                    seed=instance_seed(config.seed, index))
 
 
-def require_exhaustive_budget(max_vertices: int, n_values, oracle: str) -> None:
-    """Refuse an exhaustive family before any work when the brute force would
-    refuse its densest product, K_M x K_N with N the largest n."""
+def require_exhaustive_family(max_vertices: int, n_values, oracle: str) -> None:
+    """Refuse an exhaustive family before any work when M is outside
+    1..``EXHAUSTIVE_VERTEX_CAP``, or when the brute force would refuse its
+    densest product, K_M x K_N with N the largest n."""
+    if not 1 <= max_vertices <= EXHAUSTIVE_VERTEX_CAP:
+        raise ValueError(f"exhaustive families are capped at 1..{EXHAUSTIVE_VERTEX_CAP} "
+                         f"vertices, got {max_vertices}")
     if oracle != "flow":
         n = max(n_values)
         require_brute_force_budget(max_vertices * n, (max_vertices - 1) * (n - 1))

@@ -57,7 +57,7 @@ def ref_is_separator(g, removed):
     if len(kept) == 1:
         return True
     index = {v: i for i, v in enumerate(kept)}
-    edges = [(index[u], index[v]) for u, v in g.edges
+    edges = [(index[u], index[v]) for u, v in g.edge_list()
              if u not in removed and v not in removed]
     return len(ref_components(len(kept), edges)) != 1
 

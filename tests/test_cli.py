@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from kronkappa import (
+    VERTEX_CAP,
     VerificationReport,
     complete_graph,
     parse_graph6,
@@ -365,3 +366,30 @@ def test_stdout_golden_digest(capsys, tmp_path, name):
     code, out, _ = run_cli(capsys, *(str(path) if arg == INPUT else arg for arg in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+OVER_CAP = str(VERTEX_CAP + 1)
+
+
+@pytest.mark.parametrize("argv,source,message", [
+    (("kappa", INPUT), f"p {OVER_CAP}\n", "vertex cap"),
+    (("product", INPUT, "-n", OVER_CAP), "Bg\n", "vertex cap"),
+    (("verify-theorem", INPUT, "-n", OVER_CAP), "Bg\n", "vertex cap"),
+    (("verify-theorem", "--exhaustive", "5", "-n", OVER_CAP), "", "vertex cap"),
+    # the budget sum stops at the budget instead of adding huge binomials
+    (("verify-theorem", "--exhaustive", "5", "-n", OVER_CAP, "--oracle", "both"), "",
+     "budget"),
+    (("verify-lemmas", INPUT, "-n", OVER_CAP), "Bg\n", "vertex cap"),
+    (("witness", INPUT, "-n", OVER_CAP), "Bg\n", "vertex cap"),
+    (("witness", INPUT, "-n", OVER_CAP, "--direct"), "Bg\n", "vertex cap"),
+    (("sweep", "--config", INPUT),
+     {"max_vertices": 3, "n_values": [VERTEX_CAP + 1], "mode": "exhaustive"}, "vertex cap"),
+    (("sweep", "--config", INPUT),
+     {"max_vertices": VERTEX_CAP + 1, "n_values": [3], "mode": "random"}, "vertex cap"),
+])
+def test_over_cap_input_is_refused_before_any_output(capsys, tmp_path, argv, source, message):
+    path = tmp_path / "input"
+    path.write_text(json.dumps(source) if isinstance(source, dict) else source)
+    code, out, err = run_cli(capsys, *(str(path) if arg == INPUT else arg for arg in argv))
+    assert (code, out) == (2, "")
+    assert message in err

@@ -23,6 +23,7 @@ from kronkappa import (
     sample_separator,
     witness_cut,
 )
+from kronkappa.checks import CHECKS, InstanceFacts
 
 from conftest import connected_graph_strategy
 
@@ -184,6 +185,15 @@ def test_quotient_reports_pass_on_valid_sample():
     r2 = check_layer_in_component(c4, 3, [0, 5, 7])
     assert r2.passed
     assert r2.computed["all_in_one_component"] is True
+
+
+def test_layer_in_component_fails_when_a_layer_is_split():
+    # G x H with an edgeless H has no edges at all, so even with S empty every
+    # layer remainder falls apart into single vertices
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    computed, ok = CHECKS["layer_in_component"](InstanceFacts(c4, 3, Graph(3, [])), [])
+    assert computed == {"layers": 4, "all_in_one_component": False}
+    assert not ok
 
 
 @settings(max_examples=40)

@@ -15,6 +15,9 @@ from kronkappa import (
 def test_same_seed_same_graph():
     assert random_graph(8, 0.4, 123) == random_graph(8, 0.4, 123)
     assert random_connected_graph(8, 0.4, 5) == random_connected_graph(8, 0.4, 5)
+    # every one of the 32 samples of G(9, 0.01) comes out disconnected here,
+    # so this pins the component joining as well
+    assert random_connected_graph(9, 0.01, 77) == random_connected_graph(9, 0.01, 77)
     assert random_bipartite_graph(3, 4, 0.5, 9) == random_bipartite_graph(3, 4, 0.5, 9)
 
 
@@ -55,9 +58,9 @@ def test_random_connected_graph_p_zero():
         random_connected_graph(5, 0.0, 0)
 
 
-def test_tree_overlay_kicks_in_for_tiny_p():
+def test_component_joining_kicks_in_for_tiny_p():
     # p small enough that 32 samples of G(9, 0.01) are essentially never
-    # connected; the spanning-tree overlay must still connect the result
+    # connected; joining the last sample's components must still connect it
     g = random_connected_graph(9, 0.01, 77)
     assert len(connected_components(g)) == 1
 

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kronkappa import (
+    VERTEX_CAP,
     Graph,
+    complete_graph,
     connected_components,
     delete_vertex,
-    induced_subgraph,
+    direct_product,
     min_degree,
     odd_cycle_status,
+    random_bipartite_graph,
+    random_connected_graph,
     random_graph,
 )
 
@@ -168,7 +172,7 @@ def test_odd_cycle_status_vs_walk_oracle(g):
         left, right = status.bipartition
         assert left | right == frozenset(range(g.vertex_count))
         assert not left & right
-        for u, v in g.edges:
+        for u, v in g.edge_list():
             assert (u in left) != (v in left)
     else:
         cycle = status.odd_cycle
@@ -205,26 +209,19 @@ def test_delete_vertex_preserves_remaining_adjacency(g, data):
                 assert g.has_edge(a, b) == h.has_edge(relabel[a], relabel[b])
 
 
-def test_induced_subgraph_sorts_and_relabels():
-    g = Graph(5, [(0, 2), (2, 4), (1, 3)])
-    h = induced_subgraph(g, [4, 0, 2])
-    assert h.vertex_count == 3
-    assert h.edge_list() == [(0, 1), (1, 2)]
+@pytest.mark.parametrize("build", [
+    lambda over: Graph(over),
+    lambda over: complete_graph(over),
+    lambda over: direct_product(complete_graph(2), complete_graph(over // 2 + 1)),
+    lambda over: random_graph(over, 0.5, 0),
+    lambda over: random_connected_graph(over, 0.5, 0),
+    lambda over: random_bipartite_graph(over // 2, over - over // 2, 0.5, 0),
+])
+def test_vertex_cap_is_checked_before_rows_are_built(build):
+    with pytest.raises(ValueError, match="vertex cap"):
+        build(VERTEX_CAP + 1)
 
 
-def test_induced_subgraph_checks_range():
-    with pytest.raises(ValueError):
-        induced_subgraph(Graph(3, []), [0, 3])
-
-
-@given(graph_strategy(max_vertices=8), st.data())
-def test_induced_subgraph_keeps_exactly_internal_edges(g, data):
-    chosen = data.draw(st.lists(
-        st.integers(0, max(g.vertex_count - 1, 0)), unique=True)
-        if g.vertex_count else st.just([]))
-    sub = induced_subgraph(g, chosen)
-    ordered = sorted(set(chosen))
-    assert sub.vertex_count == len(ordered)
-    expect = {(i, j) for i in range(len(ordered)) for j in range(i + 1, len(ordered))
-              if g.has_edge(ordered[i], ordered[j])}
-    assert set(sub.edge_list()) == expect
+def test_vertex_cap_admits_a_graph_at_the_cap():
+    assert Graph(VERTEX_CAP).vertex_count == VERTEX_CAP
+    assert complete_graph(VERTEX_CAP).edge_count() == VERTEX_CAP * (VERTEX_CAP - 1) // 2

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from kronkappa import (
+    VERTEX_CAP,
     Graph,
     SweepConfig,
     VerificationReport,
@@ -183,6 +184,34 @@ def test_rerun_check_unknown_name():
 def test_rerun_check_names_a_missing_input(name, inputs, missing):
     with pytest.raises(ValueError, match=f"{name}.*{missing}"):
         rerun_check(VerificationReport(name, inputs, {"agree": True}, "pass"))
+
+
+@pytest.mark.parametrize("name,inputs,computed", [
+    ("theorem_equality", 5, {"agree": True}),
+    ("theorem_equality", {"graph6": "Bw", "n": 3}, 5),
+    ("theorem_equality", {"graph6": "Bw", "n": "3"}, {"agree": True}),
+    ("theorem_equality", {"graph6": "Bw", "n": True}, {"agree": True}),
+    ("theorem_equality", {"graph6": 7, "n": 3}, {"agree": True}),
+    ("complete_product", {"m": "3", "n": 4}, {"agree": True}),
+    ("weichsel_iff", {"graph6": "Bw", "graph6_h": 3}, {"agree": True}),
+    ("quotient_connected", {"graph6": "Bw", "n": 3, "S": 4}, {"connected": True}),
+    ("quotient_connected", {"graph6": "Bw", "n": 3, "S": ["a"]}, {"connected": True}),
+    ("layer_in_component", {"graph6": "Bw", "n": 3, "S": [True]}, {"agree": True}),
+    # with a given H no K_n is built, so n itself must stay within the cap
+    ("witness_soundness", {"graph6": "Bw", "graph6_h": "Bw", "n": VERTEX_CAP + 1},
+     {"agree": True}),
+    (["theorem_equality"], {"graph6": "Bw", "n": 3}, {"agree": True}),
+])
+def test_rerun_check_refuses_a_malformed_report(name, inputs, computed):
+    with pytest.raises(ValueError, match="cannot rerun"):
+        rerun_check(VerificationReport(name, inputs, computed, "pass"))
+
+
+def test_rerun_check_ignores_an_input_its_check_does_not_read():
+    report = theorem_checks(Graph(3, [(0, 1), (1, 2)]), 3)[0]
+    with_s = VerificationReport(report.check_name, {**report.inputs, "S": [0]},
+                                report.computed, report.verdict)
+    assert rerun_check(with_s) == report.verdict
 
 
 def test_report_line_without_a_field_is_refused():
