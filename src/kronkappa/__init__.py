@@ -11,10 +11,8 @@ families.
 
 from .checks import (
     check_complete_product,
-    check_degree_product,
     check_layer_in_component,
     check_quotient_connected,
-    check_weichsel,
     rerun_check,
 )
 from .connectivity import (
@@ -92,10 +90,8 @@ __all__ = [
     "brute_force_kappa",
     "build_quotient",
     "check_complete_product",
-    "check_degree_product",
     "check_layer_in_component",
     "check_quotient_connected",
-    "check_weichsel",
     "complete_graph",
     "connected_components",
     "delete_vertex",

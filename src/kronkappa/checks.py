@@ -1,4 +1,4 @@
-"""The check table: every verification the package reports, each written once.
+"""The check table: every verification the package reports on G x K_n, each written once.
 
 ``CHECKS`` maps a check_name to ``fn(facts, **params) -> (computed, ok)``:
 ``facts`` is the instance's ``InstanceFacts``, ``computed`` holds only
@@ -22,7 +22,6 @@ from .formula import (FormulaResult, build_quotient, formula_kappa_product, samp
                       witness_vertices)
 from .graphio import parse_graph6, write_graph6
 from .graphs import (
-    VERTEX_CAP,
     Graph,
     connected_components,
     delete_vertex,
@@ -36,21 +35,20 @@ ORACLES = ("brute", "flow", "both")
 
 
 class InstanceFacts:
-    """One instance's facts: the factor G with its graph6 record, kappa(G),
-    delta(G) and bipartiteness, and a second factor H, which is K_n unless
-    given. The product G x H and the closed form are computed on first use and
-    kept, so the checks of one instance share them. A G on two or more vertices is connected exactly
+    """One instance's facts: the factor G with its graph6 record, kappa(G)
+    and delta(G), and the second factor H = K_n. The product G x K_n and the
+    closed form are computed on first use and kept, so the checks of one
+    instance share them. A G on two or more vertices is connected exactly
     when kappa(G) > 0.
     """
 
-    def __init__(self, g: Graph, n: int | None = None, h: Graph | None = None):
+    def __init__(self, g: Graph, n: int):
         self.g = g
         self.n = n
-        self.h = complete_graph(n) if h is None else h
+        self.h = complete_graph(n)
         self.graph6 = write_graph6(g)
         self.kappa_g = kappa(g)
         self.delta_g = min_degree(g)
-        self.bipartite = odd_cycle_status(g).is_bipartite
 
     @cached_property
     def product(self) -> Graph:
@@ -93,7 +91,7 @@ def _weichsel_iff(f: InstanceFacts):
         raise ValueError("criterion needs nontrivial factors (two or more vertices each)")
     product_connected = len(connected_components(f.product)) == 1
     factors_connected = f.kappa_g > 0 and len(connected_components(f.h)) == 1
-    some_odd_cycle = not f.bipartite or not odd_cycle_status(f.h).is_bipartite
+    some_odd_cycle = not all(odd_cycle_status(x).is_bipartite for x in (f.g, f.h))
     predicted = factors_connected and some_odd_cycle
     computed = {
         "product_connected": product_connected,
@@ -217,25 +215,19 @@ def lemma_battery(f: InstanceFacts, seed: int = 0, separator_samples: int = 1):
             yield run_check("layer_in_component", f, dict(with_s), S=chosen)
 
 
-#: inputs ``rerun_check`` needs besides the two factors: n where a check reads
-#: the closed form or the layer size, and the quotient checks' separator S
-_RERUN_INPUTS = {"theorem_equality": ("n",), "witness_soundness": ("n",),
-                 "complete_product": ("n",), "quotient_connected": ("n", "S"),
-                 "layer_in_component": ("n", "S")}
+#: inputs ``rerun_check`` needs besides G and n: the quotient checks' separator S
+_RERUN_INPUTS = {"quotient_connected": ("S",), "layer_in_component": ("S",)}
 
 
 #: the type of each input ``rerun_check`` reads, S holding integers; no bool
-#: passes for an integer, nor one above VERTEX_CAP (with a given H, n sizes
-#: the witness and the layers, not a built K_n)
-_INPUT_TYPES = {"graph6": str, "graph6_h": str, "m": int, "n": int, "S": list}
+#: passes for an integer
+_INPUT_TYPES = {"graph6": str, "m": int, "n": int, "S": list}
 
 
 def _fits(value, kind) -> bool:
     if isinstance(value, bool) or not isinstance(value, kind):
         return False
-    if kind is list:
-        return all(_fits(v, int) for v in value)
-    return kind is str or value <= VERTEX_CAP
+    return kind is not list or all(_fits(v, int) for v in value)
 
 
 def rerun_check(report: VerificationReport) -> str:
@@ -244,7 +236,8 @@ def rerun_check(report: VerificationReport) -> str:
     ``kappa_*`` fields), then run the check's table entry on fresh facts.
     Raises ValueError for a check_name the table does not have, and for
     inputs or computed fields that are not objects, lack what the check
-    reads or hold it with the wrong type.
+    reads or hold it with the wrong type; an n, m or S entry too large for
+    the vertex cap or the product's range is refused as the graphs are built.
     """
     name = report.check_name
     check = CHECKS.get(name) if isinstance(name, str) else None
@@ -253,8 +246,7 @@ def rerun_check(report: VerificationReport) -> str:
     ins = report.inputs
     if not isinstance(ins, dict) or not isinstance(report.computed, dict):
         raise ValueError(f"cannot rerun {name!r}: its inputs and computed must be objects")
-    needed = ["m" if "m" in ins else "graph6", "graph6_h" if "graph6_h" in ins else "n",
-              *_RERUN_INPUTS.get(name, ())]
+    needed = ["m" if "m" in ins else "graph6", "n", *_RERUN_INPUTS.get(name, ())]
     missing = [key for key in needed if ins.get(key) is None]
     if missing:
         raise ValueError(f"cannot rerun {name!r}: its inputs lack {missing[0]!r}")
@@ -262,27 +254,12 @@ def rerun_check(report: VerificationReport) -> str:
     if wrong:
         raise ValueError(f"cannot rerun {name!r}: input {wrong[0]!r} has the wrong type")
     g = complete_graph(ins["m"]) if "m" in ins else parse_graph6(ins["graph6"])
-    h = parse_graph6(ins["graph6_h"]) if "graph6_h" in ins else None
     params = {"S": ins["S"]} if "S" in _RERUN_INPUTS.get(name, ()) else {}
     oracles = [o for o in ("flow", "brute") if f"kappa_{o}" in report.computed]
     if oracles:
         params["oracle"] = "both" if len(oracles) == 2 else oracles[0]
-    _, ok = check(InstanceFacts(g, ins.get("n"), h), **params)
+    _, ok = check(InstanceFacts(g, ins["n"]), **params)
     return verdict_of(ok)
-
-
-def check_weichsel(g: Graph, h: Graph) -> VerificationReport:
-    """The ``weichsel_iff`` check on G x H."""
-    facts = InstanceFacts(g, h=h)
-    return run_check("weichsel_iff", facts,
-                     {"graph6": facts.graph6, "graph6_h": write_graph6(h)})
-
-
-def check_degree_product(g: Graph, h: Graph) -> VerificationReport:
-    """The ``degree_product`` check on G x H."""
-    facts = InstanceFacts(g, h=h)
-    return run_check("degree_product", facts,
-                     {"graph6": facts.graph6, "graph6_h": write_graph6(h)})
 
 
 def check_quotient_connected(g: Graph, n: int, removed) -> VerificationReport:

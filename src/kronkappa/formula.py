@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .connectivity import CutWitness, _lex_min_cut, is_separator, kappa
-from .graphs import Graph, bit_indices, min_degree
+from .graphs import Graph, _require_within_cap, bit_indices, min_degree
 from .products import complete_graph, direct_product
 
 
@@ -129,6 +129,7 @@ def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> 
     if kappa_g is None:
         kappa_g = kappa(g)
     bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
+    _require_within_cap(g.vertex_count * n)
     if kappa_g == 0:
         raise ValueError("quotient needs a connected factor with kappa >= 1")
     m = g.vertex_count
@@ -169,6 +170,7 @@ def sample_separator(g: Graph, n: int, rng: Random, *,
     if kappa_g is None:
         kappa_g = kappa(g)
     bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
+    _require_within_cap(g.vertex_count * n)
     if kappa_g == 0:
         raise ValueError("no candidate separators exist for a factor with kappa = 0")
     total = g.vertex_count * n

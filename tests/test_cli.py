@@ -326,6 +326,15 @@ GOLDEN_RUNS = {
         {"max_vertices": 5, "n_values": [3, 4], "mode": "random",
          "sample_count": 6, "seed": 31},
         "9b1f3cb1e29ea5f7add54230700b66cfe7793dd1da2569b41789cae30587d663"),
+    "sweep-exhaustive-5-both": (
+        ("sweep", "--config", INPUT),
+        {"max_vertices": 5, "n_values": [3], "mode": "exhaustive", "oracle": "both"},
+        "6f345cfebf82c3728ee045d002732983f46fbf141f20cb75066c95bf433292f3"),
+    "sweep-random-9": (
+        ("sweep", "--config", INPUT),
+        {"max_vertices": 9, "n_values": [3, 4, 5], "mode": "random",
+         "sample_count": 40, "seed": 7},
+        "b1748146fb1755f63aa9e66a1a670125889bc69d258fddace7fb04079270bf89"),
     "verify-lemmas": (
         ("verify-lemmas", INPUT, "-n", "3", "--samples", "3"),
         "@\nBg\nC`\nDhc\nC~\nDxK\n",
@@ -336,6 +345,9 @@ GOLDEN_RUNS = {
     "witness-direct": (
         ("witness", INPUT, "-n", "3", "--direct"), WITNESS_FACTORS,
         "48b935226e392e4983c150b1d89fa8a1144c12a0cc2b23078688518fdd9e4f91"),
+    "witness-direct-edge-list": (
+        ("witness", INPUT, "-n", "3", "--direct"), "p 4\n0 1\n1 2\n2 3\n0 3\n",
+        "4829c48204d935fe7d20c1f8c3341f31877b1f6fc0ba71eda773dd3c269bd0bc"),
     "witness-direct-n2": (
         ("witness", INPUT, "-n", "2", "--direct"), WITNESS_FACTORS,
         "aa106a0d532e0d8c417f6f55287a9597696ce0326845688b1eb3ca6ded1e6e5e"),

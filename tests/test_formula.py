@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronkappa import (
+    VERTEX_CAP,
     FormulaInapplicable,
     Graph,
     brute_force_kappa,
@@ -164,6 +165,16 @@ def test_quotient_validation_errors():
         build_quotient(c4, 2, [])
 
 
+def test_quotient_and_sampling_refuse_an_over_cap_product():
+    # checked before any layer is built: C4 x K_n would need 1,028 vertices
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    n = VERTEX_CAP // 4 + 1
+    with pytest.raises(ValueError, match="vertex cap"):
+        build_quotient(c4, n, [])
+    with pytest.raises(ValueError, match="vertex cap"):
+        sample_separator(c4, n, Random(0))
+
+
 def test_quotient_bound_uses_factor_kappa():
     # two triangles joined by an edge: kappa 1 < delta 2, so with n = 3 the
     # bound is min(3*1, 2*2) = 3, not 4
@@ -188,10 +199,13 @@ def test_quotient_reports_pass_on_valid_sample():
 
 
 def test_layer_in_component_fails_when_a_layer_is_split():
-    # G x H with an edgeless H has no edges at all, so even with S empty every
-    # layer remainder falls apart into single vertices
+    # with the product replaced by G x H for an edgeless H there are no edges
+    # at all, so even with S empty every layer remainder falls apart into
+    # single vertices
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    computed, ok = CHECKS["layer_in_component"](InstanceFacts(c4, 3, Graph(3, [])), [])
+    facts = InstanceFacts(c4, 3)
+    facts.product = direct_product(c4, Graph(3, [])).graph
+    computed, ok = CHECKS["layer_in_component"](facts, [])
     assert computed == {"layers": 4, "all_in_one_component": False}
     assert not ok
 

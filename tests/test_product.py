@@ -4,15 +4,16 @@ from hypothesis import given, settings
 
 from kronkappa import (
     Graph,
-    check_degree_product,
-    check_weichsel,
     complete_graph,
     connected_components,
     direct_product,
+    lemma_checks,
     min_degree,
+    odd_cycle_status,
     random_bipartite_graph,
     random_graph,
 )
+from kronkappa.checks import CHECKS, InstanceFacts
 
 from conftest import graph_strategy, ref_product_edges
 
@@ -112,17 +113,22 @@ def test_product_degrees_multiply(g, h):
         assert prod.graph.degree(a) == g.degree(i) * h.degree(j)
 
 
+def lemma_report(g, n, name):
+    return next(r for r in lemma_checks(g, n, separator_samples=0) if r.check_name == name)
+
+
 def test_weichsel_connected_product():
     p3 = Graph(3, [(0, 1), (1, 2)])
-    report = check_weichsel(p3, complete_graph(3))
+    report = lemma_report(p3, 3, "weichsel_iff")
     assert report.passed
     assert report.computed["product_connected"] is True
     assert report.computed["odd_cycle_in_some_factor"] is True
 
 
 def test_weichsel_bipartite_pair_disconnects():
+    # K_2 is bipartite too, so a bipartite G times K_2 falls apart
     b = random_bipartite_graph(2, 3, 1.0, 0)
-    report = check_weichsel(b, b)
+    report = lemma_report(b, 2, "weichsel_iff")
     assert report.passed
     assert report.computed["predicted_connected"] is False
     assert report.computed["product_connected"] is False
@@ -130,25 +136,30 @@ def test_weichsel_bipartite_pair_disconnects():
 
 def test_weichsel_needs_nontrivial_factors():
     with pytest.raises(ValueError, match="nontrivial"):
-        check_weichsel(Graph(1, []), complete_graph(3))
+        CHECKS["weichsel_iff"](InstanceFacts(Graph(1, []), 3))
 
 
 @settings(max_examples=50)
 @given(graph_strategy(min_vertices=2, max_vertices=5),
        graph_strategy(min_vertices=2, max_vertices=5))
 def test_weichsel_never_fails(g, h):
-    # the criterion is a theorem; the checker must agree on every pair
-    assert check_weichsel(g, h).passed
+    # the criterion is a theorem: it holds on every pair of nontrivial factors,
+    # and the check agrees with it on G x K_2 and G x K_3
+    connected = [len(connected_components(x)) == 1 for x in (g, h)]
+    odd_cycle = [not odd_cycle_status(x).is_bipartite for x in (g, h)]
+    predicted = all(connected) and any(odd_cycle)
+    assert (len(connected_components(direct_product(g, h).graph)) == 1) == predicted
+    assert all(lemma_report(g, n, "weichsel_iff").passed for n in (2, 3))
 
 
 def test_degree_product_report():
     p3 = Graph(3, [(0, 1), (1, 2)])
-    report = check_degree_product(p3, p3)
+    report = lemma_report(p3, 3, "degree_product")
     assert report.passed
     assert report.computed == {
-        "delta_product": 1, "delta_g": 1, "delta_h": 1, "agree": True}
+        "delta_product": 2, "delta_g": 1, "delta_h": 2, "agree": True}
     assert report.check_name == "degree_product"
-    assert set(report.inputs) == {"graph6", "graph6_h"}
+    assert set(report.inputs) == {"graph6", "n"}
 
 
 @given(graph_strategy(max_vertices=5), graph_strategy(max_vertices=5))

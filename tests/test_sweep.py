@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -10,9 +11,6 @@ from kronkappa import (
     SweepConfig,
     VerificationReport,
     check_complete_product,
-    check_degree_product,
-    check_weichsel,
-    complete_graph,
     instance_checks,
     instance_seed,
     lemma_checks,
@@ -143,14 +141,13 @@ def test_random_sweep_draws_requested_count():
 
 @pytest.fixture(scope="module")
 def emitted_reports():
-    """Reports of every check the package emits: a sweep, the public checks
-    on a second factor H (their inputs carry graph6_h), a brute-force-only
+    """Reports of every check the package emits: a sweep, the lemma battery
+    with K_2 and a larger G, the complete-product check, a brute-force-only
     theorem battery and the verify-theorem --direct record."""
     p3 = Graph(3, [(0, 1), (1, 2)])
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     reports = list(run_sweep(small_config()))
-    reports += [check_weichsel(p3, complete_graph(3)), check_weichsel(c4, c4),
-                check_degree_product(p3, c4), check_complete_product(3, 4)]
+    reports += [*lemma_checks(c4, 2), *lemma_checks(p3, 3), check_complete_product(3, 4)]
     reports += theorem_checks(c4, 4, oracle="brute")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -163,8 +160,6 @@ def emitted_reports():
 def test_rerun_check_reproduces_verdicts(emitted_reports, name):
     reports = [r for r in emitted_reports if r.check_name == name]
     assert reports
-    if name in ("weichsel_iff", "degree_product"):
-        assert any("graph6_h" in r.inputs for r in reports)
     for report in reports:
         assert rerun_check(report) == report.verdict
 
@@ -175,7 +170,7 @@ def test_rerun_check_unknown_name():
 
 
 @pytest.mark.parametrize("name,inputs,missing", [
-    ("theorem_equality", {"graph6": "Bw", "graph6_h": "Bw"}, "'n'"),
+    ("theorem_equality", {"graph6": "Bw", "n": None}, "'n'"),
     ("theorem_equality", {"graph6": "Bw"}, "'n'"),
     ("complete_product", {"m": 3}, "'n'"),
     ("quotient_connected", {"graph6": "Bw", "n": 3}, "'S'"),
@@ -193,18 +188,29 @@ def test_rerun_check_names_a_missing_input(name, inputs, missing):
     ("theorem_equality", {"graph6": "Bw", "n": True}, {"agree": True}),
     ("theorem_equality", {"graph6": 7, "n": 3}, {"agree": True}),
     ("complete_product", {"m": "3", "n": 4}, {"agree": True}),
-    ("weichsel_iff", {"graph6": "Bw", "graph6_h": 3}, {"agree": True}),
+    ("weichsel_iff", {"graph6": 3, "n": 3}, {"agree": True}),
     ("quotient_connected", {"graph6": "Bw", "n": 3, "S": 4}, {"connected": True}),
     ("quotient_connected", {"graph6": "Bw", "n": 3, "S": ["a"]}, {"connected": True}),
     ("layer_in_component", {"graph6": "Bw", "n": 3, "S": [True]}, {"agree": True}),
-    # with a given H no K_n is built, so n itself must stay within the cap
-    ("witness_soundness", {"graph6": "Bw", "graph6_h": "Bw", "n": VERTEX_CAP + 1},
-     {"agree": True}),
+    ("witness_soundness", {"graph6": "Bw", "n": 3.0}, {"agree": True}),
     (["theorem_equality"], {"graph6": "Bw", "n": 3}, {"agree": True}),
 ])
 def test_rerun_check_refuses_a_malformed_report(name, inputs, computed):
     with pytest.raises(ValueError, match="cannot rerun"):
         rerun_check(VerificationReport(name, inputs, computed, "pass"))
+
+
+@pytest.mark.parametrize("name,inputs,message", [
+    ("witness_soundness", {"graph6": "Bw", "n": VERTEX_CAP + 1}, "vertex cap"),
+    ("complete_product", {"m": VERTEX_CAP + 1, "n": 3}, "vertex cap"),
+    ("quotient_connected", {"graph6": "Bw", "n": 3, "S": [10**12]}, "out of range"),
+])
+def test_rerun_check_refuses_an_over_cap_input(name, inputs, message):
+    # refused before any row is allocated for the too-large graph
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        rerun_check(VerificationReport(name, inputs, {"agree": True}, "pass"))
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_rerun_check_ignores_an_input_its_check_does_not_read():
