@@ -140,6 +140,11 @@ def kappa_from_matrix(rows, floor=None):
     every minimum cut is seen by one of those pairs. Each flow stops at the
     best value found so far.
 
+    On rows of G x K_c (``_product_columns``) v_min is in column 0, as a
+    layer's vertices share one degree, and permuting columns 1..c-1 maps the
+    graph onto itself. So one pair per orbit stands for the rest: targets in
+    columns 0 and 1, x in column 1 and y above x in column 1 or 2.
+
     ``floor`` is for callers that know kappa >= floor: the result is then
     min(kappa, floor + 1). Flows stop at floor + 1, and the search ends as
     soon as the minimum degree or one flow reaches floor.
@@ -152,24 +157,34 @@ def kappa_from_matrix(rows, floor=None):
     best = delta if floor is None else min(delta, floor + 1)
     if delta == n - 1 or best == floor:
         return best
-    if not _still_connected(rows, (1 << n) - 1):
+    full = (1 << n) - 1
+    if not _still_connected(rows, full):
         return 0
     if best == 1:
         return 1  # connected, so no flow is below 1
 
     v_min = degrees.index(delta)
     around = rows[v_min]
-    for u in range(n):
-        if u != v_min and not around >> u & 1:
-            best = min(best, _disjoint_paths(rows, v_min, u, best))
-            if best == floor:
-                return best
-    m = around
+    far = xs = ys = full  # with no symmetry, every pair
+    cols = _product_columns(rows)
+    if cols:
+        base = full // ((1 << cols) - 1)  # bit u * cols for each layer u
+        far = base | base << 1
+        xs = base << 1
+        ys = xs | base << 2
+    m = far & ~around & ~(1 << v_min)
+    while m:
+        low = m & -m
+        m ^= low
+        best = min(best, _disjoint_paths(rows, v_min, low.bit_length() - 1, best))
+        if best == floor:
+            return best
+    m = around & xs
     while m:
         low = m & -m
         x = low.bit_length() - 1
         m ^= low
-        rest = m & ~rows[x]  # neighbours of v_min above x and not adjacent to x
+        rest = around & ~rows[x] & ys & -(low << 1)  # in ys, above x, not adjacent to x
         while rest:
             y_bit = rest & -rest
             rest ^= y_bit
@@ -177,6 +192,30 @@ def kappa_from_matrix(rows, floor=None):
             if best == floor:
                 return best
     return best
+
+
+def _product_columns(rows):
+    """The largest c >= 3 for which ``rows`` are G x K_c in row-major labels
+    (G on two or more vertices), else 0: row u*c + j must be spread_u times
+    all c bits but bit j, where spread_u, read off row u*c, has bits only at
+    multiples of c. Each divisor c stops at the first row that does not fit.
+    """
+    size = len(rows)
+    for cols in range(size // 2, 2, -1):
+        if size % cols:
+            continue
+        ones = (1 << cols) - 1
+        base = ((1 << size) - 1) // ones  # bit u * cols for each layer u
+        for v, row in enumerate(rows):
+            j = v % cols
+            if j == 0:
+                spread = row >> 1 & base
+                block = spread * ones
+            if row != block ^ spread << j:
+                break
+        else:
+            return cols
+    return 0
 
 
 def _reach(rows, start, within):

@@ -151,6 +151,105 @@ def test_kappa_floor_returns_capped_connectivity(seed):
         assert kappa_from_matrix(rows, floor) == min(k, floor + 1), (seed, floor)
 
 
+def _relabelled(rows, seed):
+    """``rows`` with their vertices shuffled by a seeded permutation."""
+    order = list(range(len(rows)))
+    Random(seed).shuffle(order)
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        out[order[v]] = sum(1 << order[w] for w in range(len(rows)) if row >> w & 1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_product_columns_recognise_row_major_products(n):
+    """G x K_n in row-major labels is read with its n from n = 3 on; a
+    relabelled copy is not read at all."""
+    factors = [complete_graph(2), cycle(5), parse_graph6(PETERSEN)]
+    factors += [random_connected_graph(6, 0.5, seed) for seed in range(3)]
+    for seed, g in enumerate(factors):
+        rows = direct_product(g, complete_graph(n)).graph._adj
+        assert _kernels._product_columns(rows) == (n if n >= 3 else 0), (g, n)
+        assert _kernels._product_columns(_relabelled(rows, seed)) == 0, (g, n)
+
+
+def test_product_columns_reject_non_products():
+    for seed in range(12):
+        g = random_connected_graph(6 + 2 * seed, 0.3 + seed % 3 * 0.2, seed)
+        assert _kernels._product_columns(g._adj) == 0, g
+
+
+def _orbit_schedule_agrees(g, n, reference=None):
+    """kappa_from_matrix at every floor is the same on the product's rows,
+    which get the orbit schedule, and on a relabelled copy, which does not."""
+    rows = direct_product(g, complete_graph(n)).graph._adj
+    shuffled = _relabelled(rows, n)
+    assert _kernels._product_columns(rows) == n
+    assert _kernels._product_columns(shuffled) == 0
+    k = kappa_from_matrix(shuffled)
+    assert kappa_from_matrix(rows) == k, (g, n)
+    if reference is not None:
+        assert k == reference, (g, n)
+    for floor in range(k + 1):
+        assert kappa_from_matrix(rows, floor) == kappa_from_matrix(shuffled, floor), (g, n, floor)
+
+
+def test_orbit_schedule_matches_the_full_schedule():
+    for g in all_labeled_graphs(4):
+        if g.vertex_count > 1 and g.edge_count():
+            for n in (3, 4, 5):
+                _orbit_schedule_agrees(g, n)
+    for seed in range(8):
+        rng = Random(seed)
+        g = random_connected_graph(rng.randint(6, 9), rng.choice((0.3, 0.5, 0.7)), seed)
+        n = 3 + seed % 4
+        product = direct_product(g, complete_graph(n)).graph
+        _orbit_schedule_agrees(g, n, nx.node_connectivity(_to_networkx(product)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orbit_schedule_runs_one_pair_per_orbit(seed, monkeypatch):
+    """Column permutations that fix v_min's column map a pair of G x K_n to
+    one with the same layers and the same answer to "same column?". The
+    kernel must run one pair of each such class that Esfahanian-Hakimi's
+    full schedule holds, and no other: a value check alone cannot show this,
+    since on products a smaller schedule often still finds kappa."""
+    rng = Random(seed)
+    g = random_connected_graph(rng.randint(4, 7), rng.choice((0.4, 0.6)), seed)
+    n = 3 + seed % 3
+    rows = direct_product(g, complete_graph(n)).graph._adj
+    degrees = [row.bit_count() for row in rows]
+    v_min = degrees.index(min(degrees))
+    around = rows[v_min]
+
+    def orbit(x, y):
+        return frozenset((x // n, y // n)), x % n == y % n
+
+    full = {orbit(v_min, t) for t in range(len(rows)) if t != v_min and not around >> t & 1}
+    full |= {orbit(x, y) for x, y in combinations(range(len(rows)), 2)
+             if around >> x & around >> y & 1 and not rows[x] >> y & 1}
+    pairs = []
+    paths = _kernels._disjoint_paths
+    monkeypatch.setattr(_kernels, "_disjoint_paths",
+                        lambda *args: pairs.append(args[1:3]) or paths(*args))
+    kappa_from_matrix(rows)
+    assert {orbit(x, y) for x, y in pairs} == full
+    assert len(pairs) == len(full)
+
+
+def test_dense_product_runs_one_flow_per_orbit(monkeypatch):
+    """K2 x K512 at the vertex cap: two flows from v_min = (0, 0), to (0, 1)
+    and (1, 0), and one in its neighbourhood, from (1, 1) to (1, 2). The full
+    schedule would run 512 + C(511, 2) = 130,817."""
+    product = direct_product(complete_graph(2), complete_graph(512)).graph
+    flows = []
+    paths = _kernels._disjoint_paths
+    monkeypatch.setattr(_kernels, "_disjoint_paths",
+                        lambda *args: flows.append(args[1:3]) or paths(*args))
+    assert kappa(product) == 511
+    assert flows == [(0, 1), (0, 512), (513, 514)]
+
+
 def _chain(*vertices):
     return list(zip(vertices, vertices[1:]))
 
