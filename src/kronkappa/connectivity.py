@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from ._kernels import _drop, _still_connected, brute_force_kappa_bits, kappa_from_matrix
-from .graphs import Graph, min_degree
+from ._kernels import (_disjoint_paths, _drop, _still_connected, brute_force_kappa_bits,
+                       kappa_from_matrix)
+from .graphs import Graph, bit_indices, min_degree
 
 #: most deletion subsets the oracle may have to try, bounded before it starts
 BRUTE_FORCE_BUDGET = 1_000_000
@@ -70,25 +71,62 @@ def _lex_min_cut(g: Graph, k: int) -> list[int]:
     """The lexicographically smallest minimum cut of a non-complete G whose
     connectivity the caller knows to be k.
 
-    The cut grows from a prefix P that lies in some minimum cut, so
-    kappa(G - P) = k - |P|. Vertices are tried in increasing order, and v
-    joins P exactly when kappa(G - P - v) = k - |P| - 1, which is when some
-    minimum cut holds P and v. A vertex turned down there is in no minimum
-    cut through a later prefix either, so the result is the lexicographically
-    smallest. That is at most n connectivity tests, and each only has to tell
-    k - |P| - 1 from anything larger.
+    The cut grows from a prefix P that lies in some minimum cut, so G' = G - P
+    is not complete and has connectivity c = k - |P|. Vertices are tried in
+    increasing order, and v joins P exactly when some minimum cut of G' holds
+    it, so a vertex turned down is in no minimum cut through a later prefix
+    either. That holds exactly when two non-adjacent neighbours a, b of v are
+    joined by fewer than c disjoint paths in G' - v: a minimum cut S through v
+    is a minimal separator, so v has neighbours in two components of G' - S,
+    which S - v separates; and Menger's cut of at most c - 1 vertices between
+    a and b in G' - v, plus v, cuts G'. S - v holds at most c - 1 neighbours of
+    v, so only v's first c neighbours anchor a pair, each with the later ones
+    it is not adjacent to. A vertex of degree c - 1 in G' - v settles it at
+    once. Where the pairs outnumber Esfahanian-Hakimi's flows on G' - v (the
+    non-neighbours of a minimum-degree vertex and the non-adjacent pairs of
+    its neighbourhood), as beside a hub or in a dense graph, the test is
+    kappa(G' - v) = c - 1.
     """
     rows = g._adj  # G - P, relabelled in order
     chosen = []
     for v in range(g.vertex_count):
         if len(chosen) == k:
             break
-        rest = _drop(rows, v - len(chosen))  # every vertex of P is below v
-        target = k - len(chosen) - 1
-        if kappa_from_matrix(rest, floor=target) == target:
+        u = v - len(chosen)  # v's label in G - P: every vertex of P is below v
+        rest = _drop(rows, u)
+        if _in_min_cut(rest, rows[u], u, k - len(chosen)):
             chosen.append(v)
             rows = rest
     return chosen
+
+
+def _in_min_cut(rest, row, v, c):
+    """Whether v, whose row is ``row``, lies in a minimum cut of a G' with
+    kappa(G') = c, given G' - v as ``rest`` (see ``_lex_min_cut``)."""
+    degrees = [r.bit_count() for r in rest]
+    delta = min(degrees)
+    if delta < c:
+        return True  # v has a neighbour of degree c in G', whose neighbours cut G'
+    below = (1 << v) - 1
+    m = row & below | row >> 1 & ~below  # v's neighbours in rest's labels
+    pairs = []  # (anchor, the later neighbours it is not adjacent to)
+    while m and len(pairs) < c:
+        low = m & -m
+        m ^= low
+        a = low.bit_length() - 1
+        pairs.append((a, m & ~rest[a]))
+    hub = rest[degrees.index(delta)]
+    flows = len(rest) - 1 - delta + sum((hub & ~rest[x] & -(2 << x)).bit_count()
+                                        for x in bit_indices(hub))
+    if sum(later.bit_count() for _, later in pairs) > flows:
+        return kappa_from_matrix(rest, floor=c - 1) == c - 1
+    for a, later in pairs:
+        while later:
+            low = later & -later
+            later ^= low
+            if _disjoint_paths(rest, a, low.bit_length() - 1, c) < c:
+                return True
+    return False
 
 
 def brute_force_kappa(g: Graph) -> int:

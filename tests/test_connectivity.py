@@ -19,7 +19,7 @@ from kronkappa import (
     random_connected_graph,
     random_graph,
 )
-from kronkappa import _kernels
+from kronkappa import _kernels, connectivity
 from kronkappa._kernels import _disjoint_paths, kappa_from_matrix
 
 from conftest import graph_strategy, ref_is_separator, ref_kappa, ref_min_vertex_cut
@@ -390,3 +390,73 @@ def test_min_cut_of_a_100_vertex_product():
     assert len(cut.vertices) == kappa(product) == 16
     assert is_separator(product, cut.vertices)
     assert cut.residual_verdict == "disconnected"
+
+
+def wheel(k, hub_last=False):
+    """W_k: a hub joined to every vertex of C_k, the hub labelled 0 or k."""
+    hub, rim = (k, range(k)) if hub_last else (0, range(1, k + 1))
+    rim = list(rim)
+    return Graph(k + 1, [(hub, r) for r in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def _count_branches(monkeypatch):
+    """Count the fallback searches and the local flows that min-cut
+    membership runs, through the names ``connectivity`` calls them by."""
+    counts = {"kappa_from_matrix": 0, "_disjoint_paths": 0}
+    for name in counts:
+        real = getattr(connectivity, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(connectivity, name, counted)
+    return counts
+
+
+def test_local_min_cut_test_matches_connectivity_search(monkeypatch):
+    """v lies in a minimum cut of G, with kappa(G) = c, exactly when
+    kappa(G - v) = c - 1. Every vertex of every labelled graph on up to 6
+    vertices with 1 <= kappa <= V - 2, of seeded G(m, p) x K_n and of wheels
+    with the hub first or last; both the local test and its fallback run."""
+    rng = Random(19)
+    graphs = list(all_labeled_graphs(6))
+    graphs += [direct_product(random_connected_graph(rng.randint(3, 10), rng.choice((0.3, 0.5)),
+                                                     seed), complete_graph(3 + seed % 3)).graph
+               for seed in range(12)]
+    graphs += [wheel(k, hub_last) for k in (4, 6, 9, 30) for hub_last in (False, True)]
+    cases = [(g._adj, c) for g in graphs for c in [kappa(g)] if 1 <= c <= g.vertex_count - 2]
+    counts = _count_branches(monkeypatch)
+    for rows, c in cases:
+        for v in range(len(rows)):
+            rest = _kernels._drop(rows, v)
+            expected = kappa_from_matrix(rest, floor=c - 1) == c - 1
+            assert connectivity._in_min_cut(rest, rows[v], v, c) == expected, (rows, v)
+    assert counts["kappa_from_matrix"] > 0 and counts["_disjoint_paths"] > 0
+
+
+def test_min_cut_matches_subset_walk_around_hubs(monkeypatch):
+    """Inputs whose vertices have more neighbours than anchors or run the
+    fallback search: wheels with the hub first and last, K_{2,5}, K3 x K4,
+    every factor on up to 4 vertices times K3, C4 x K4, and K_{2,4} with a
+    perfect matching added on its side of 4."""
+    graphs = [wheel(k, hub_last) for k in range(4, 10) for hub_last in (False, True)]
+    graphs.append(Graph(7, [(a, b) for a in range(2) for b in range(2, 7)]))
+    graphs.append(direct_product(complete_graph(3), complete_graph(4)).graph)
+    graphs += [direct_product(factor, complete_graph(3)).graph
+               for factor in all_labeled_graphs(4)]
+    graphs.append(direct_product(cycle(4), complete_graph(4)).graph)
+    graphs.append(Graph(6, [(a, b) for a in range(2) for b in range(2, 6)] + [(2, 5), (3, 4)]))
+    counts = _count_branches(monkeypatch)
+    for g in graphs:
+        assert min_vertex_cut(g).vertices == ref_min_vertex_cut(g), g.edge_list()
+    assert counts["kappa_from_matrix"] > len(graphs)  # kappa(g) itself, then fallbacks
+
+
+def test_min_cut_of_a_cycle_product_runs_local_flows_only(monkeypatch):
+    """C12 x K3 (kappa 4): the one connectivity search is kappa(product), and
+    the cut's membership tests, anchored at v's first c neighbours only, run
+    12 flows."""
+    product = direct_product(cycle(12), complete_graph(3)).graph
+    counts = _count_branches(monkeypatch)
+    assert min_vertex_cut(product).vertices == {0, 1, 6, 7}
+    assert counts == {"kappa_from_matrix": 1, "_disjoint_paths": 12}
