@@ -23,6 +23,7 @@ from .formula import (FormulaResult, build_quotient, formula_kappa_product, samp
 from .graphio import parse_graph6, write_graph6
 from .graphs import (
     Graph,
+    _require_within_cap,
     connected_components,
     delete_vertex,
     min_degree,
@@ -46,6 +47,7 @@ class InstanceFacts:
         self.g = g
         self.n = n
         self.h = complete_graph(n)
+        _require_within_cap(g.vertex_count * n)  # before kappa(G) is paid for
         self.graph6 = write_graph6(g)
         self.kappa_g = kappa(g)
         self.delta_g = min_degree(g)

@@ -74,8 +74,9 @@ def witness_cut(g: Graph, n: int) -> CutWitness:
     The set is the one ``witness_vertices`` builds; it is re-checked against
     the actual product before being returned.
     """
+    _require_applicable(n)
+    product = direct_product(g, complete_graph(n)).graph  # refuses an over-cap product
     result = formula_kappa_product(kappa(g), min_degree(g), n)
-    product = direct_product(g, complete_graph(n)).graph  # refuses an n above the cap
     chosen, branch = witness_vertices(g, result)
     if len(chosen) != result.value:
         raise AssertionError("witness size does not match the closed form")

@@ -9,10 +9,12 @@ a "p <vertex-count>" header followed by one "u v" pair per line, 0-based, with
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _require_within_cap, bit_indices
 
 _OPTIONAL_PREFIX = ">>graph6<<"
-_LONG_MARK = 126
+#: each printable byte 63..126 to its six bits, most significant first
+_BITS = {63 + c: f"{c:06b}" for c in range(64)}
+_BYTE = {bits: chr(c) for c, bits in _BITS.items()}
 
 
 class Graph6Error(ValueError):
@@ -34,46 +36,44 @@ def parse_graph6(record: str | bytes) -> Graph:
         record = record[len(_OPTIONAL_PREFIX):]
     if not record:
         raise Graph6Error("empty record", 0)
-    codes = []
     for off, ch in enumerate(record):
-        c = ord(ch)
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"byte {c} outside the printable range 63..126", off)
-        codes.append(c - 63)
+        if not "?" <= ch <= "~":
+            raise Graph6Error(f"byte {ord(ch)} outside the printable range 63..126", off)
 
-    if codes[0] == _LONG_MARK - 63:
-        if len(codes) >= 2 and codes[1] == _LONG_MARK - 63:
+    if record[0] == "~":
+        if record[1:2] == "~":
             raise Graph6Error("records beyond 258047 vertices are not supported", 1)
-        if len(codes) < 4:
+        if len(record) < 4:
             raise Graph6Error("truncated extended vertex count", len(record))
-        n = (codes[1] << 12) | (codes[2] << 6) | codes[3]
+        n = int(record[1:4].translate(_BITS), 2)
         if n < 63:
             raise Graph6Error("extended vertex count used for n < 63", 1)
-        body, body_at = codes[4:], 4
+        body_at = 4
     else:
-        n = codes[0]
-        body, body_at = codes[1:], 1
+        n = ord(record[0]) - 63
+        body_at = 1
+    _require_within_cap(n)
 
     pair_bits = n * (n - 1) // 2
     need = (pair_bits + 5) // 6
-    if len(body) < need:
+    got = len(record) - body_at
+    if got < need:
         raise Graph6Error(
-            f"truncated record: {need} data bytes needed for {n} vertices, got {len(body)}",
-            body_at + len(body))
-    if len(body) > need:
+            f"truncated record: {need} data bytes needed for {n} vertices, got {got}",
+            len(record))
+    if got > need:
         raise Graph6Error(f"unexpected bytes after {need} data bytes", body_at + need)
+    bits = record[body_at:].translate(_BITS)
+    if "1" in bits[pair_bits:]:
+        raise Graph6Error("nonzero padding bit", body_at + need - 1)
 
+    # column j, reversed, is row j's bits below j; each also sets bit j of its
+    # earlier row
     masks = [0] * n
-    pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if (body[pos // 6] >> (5 - pos % 6)) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            pos += 1
-    for pad in range(pair_bits, need * 6):
-        if (body[pad // 6] >> (5 - pad % 6)) & 1:
-            raise Graph6Error("nonzero padding bit", body_at + pad // 6)
+        masks[j] = lower = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in bit_indices(lower):
+            masks[i] |= 1 << j
     return Graph.from_adjacency(masks)
 
 
@@ -81,27 +81,11 @@ def write_graph6(g: Graph) -> str:
     n = g.vertex_count
     if n > 258047:
         raise ValueError("graph6 supports at most 258047 vertices")
-    if n <= 62:
-        out = [chr(n + 63)]
-    else:
-        out = [chr(_LONG_MARK),
-               chr(63 + ((n >> 12) & 63)),
-               chr(63 + ((n >> 6) & 63)),
-               chr(63 + (n & 63))]
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        col = g._adj[j]
-        for i in range(j):
-            group = (group << 1) | ((col >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return "".join(out)
+    # the vertex count is 6 bits, or byte 126 (six one bits) and then 18 bits
+    bits = f"{n:06b}" if n <= 62 else f"{63:06b}{n:018b}"
+    bits += "".join([f"{row & ((1 << j) - 1):0{j}b}"[::-1] for j, row in enumerate(g._adj) if j])
+    bits += "0" * (-len(bits) % 6)
+    return "".join([_BYTE[bits[k:k + 6]] for k in range(0, len(bits), 6)])
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -15,23 +15,9 @@ from .graphs import Graph, _require_within_cap, bit_indices
 
 @dataclass(frozen=True)
 class ProductGraph:
-    """A direct product together with its factor dimensions."""
+    """The result of ``direct_product``; its ``graph`` is G x H."""
 
     graph: Graph
-    left_count: int
-    right_count: int
-
-    def index_of(self, i: int, j: int) -> int:
-        """Product label of the pair (i, j)."""
-        if not (0 <= i < self.left_count and 0 <= j < self.right_count):
-            raise ValueError(f"pair ({i}, {j}) out of range for a "
-                             f"{self.left_count} x {self.right_count} product")
-        return i * self.right_count + j
-
-    def pair_of(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.graph.vertex_count:
-            raise ValueError(f"product vertex {index} out of range")
-        return divmod(index, self.right_count)
 
 
 def complete_graph(n: int) -> Graph:
@@ -52,4 +38,4 @@ def direct_product(g: Graph, h: Graph) -> ProductGraph:
     # shifted copies do not overlap and the multiply never carries.
     spread = [sum(1 << (w * hn) for w in bit_indices(row)) for row in g._adj]
     adj = [s * row for s in spread for row in h._adj]
-    return ProductGraph(Graph.from_adjacency(adj), g.vertex_count, hn)
+    return ProductGraph(Graph.from_adjacency(adj))

@@ -8,13 +8,14 @@ import pytest
 
 from kronkappa import (
     VERTEX_CAP,
+    Graph,
     VerificationReport,
     complete_graph,
     parse_graph6,
     theorem_checks,
     write_graph6,
 )
-from kronkappa import cli, sweep
+from kronkappa import checks, cli, formula, sweep
 from kronkappa.cli import _emit_reports, main
 
 
@@ -381,6 +382,8 @@ def test_stdout_golden_digest(capsys, tmp_path, name):
 
 
 OVER_CAP = str(VERTEX_CAP + 1)
+# 400 x 3 = 1,200 product vertices, while the factor and K_3 are each under the cap
+FACTOR_400 = write_graph6(Graph(400)) + "\n"
 
 
 @pytest.mark.parametrize("argv,source,message", [
@@ -398,8 +401,30 @@ OVER_CAP = str(VERTEX_CAP + 1)
      {"max_vertices": 3, "n_values": [VERTEX_CAP + 1], "mode": "exhaustive"}, "vertex cap"),
     (("sweep", "--config", INPUT),
      {"max_vertices": VERTEX_CAP + 1, "n_values": [3], "mode": "random"}, "vertex cap"),
+    # a graph6 header declaring 1,025 vertices, refused before its body is read
+    (("kappa", INPUT), "~?O@\n", "vertex cap"),
+    # over-cap instances G x K_3, refused before kappa(G) is computed
+    pytest.param(("sweep", "--config", INPUT),
+                 {"max_vertices": 400, "n_values": [3], "mode": "random", "sample_count": 1},
+                 "1200 vertices is above the vertex cap", id="sweep-400-vertices"),
+    pytest.param(("verify-theorem", INPUT, "-n", "3"), FACTOR_400,
+                 "1200 vertices is above the vertex cap", id="verify-theorem-400-vertices"),
+    pytest.param(("witness", INPUT, "-n", "3"), FACTOR_400,
+                 "1200 vertices is above the vertex cap", id="witness-400-vertices"),
+    # refusals that are not about size
+    (("kappa", INPUT), "# only a comment\n\n", "no graphs in input"),
+    (("witness", INPUT, "-n", "1", "--direct"), "Bg\n",
+     "complete factor needs at least 2 vertices"),
+    (("verify-lemmas", INPUT, "-n", "3", "--samples", "-1"), "Bg\n",
+     "--samples must be nonnegative"),
 ])
-def test_over_cap_input_is_refused_before_any_output(capsys, tmp_path, argv, source, message):
+def test_over_cap_input_is_refused_before_any_output(capsys, monkeypatch, tmp_path,
+                                                     argv, source, message):
+    def no_kappa(g):
+        raise AssertionError("kappa(G) computed for an input that is refused")
+
+    monkeypatch.setattr(checks, "kappa", no_kappa)
+    monkeypatch.setattr(formula, "kappa", no_kappa)
     path = tmp_path / "input"
     path.write_text(json.dumps(source) if isinstance(source, dict) else source)
     code, out, err = run_cli(capsys, *(str(path) if arg == INPUT else arg for arg in argv))

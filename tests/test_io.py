@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 
 from kronkappa import (
+    VERTEX_CAP,
     Graph,
     Graph6Error,
     complete_graph,
+    direct_product,
     parse_edge_list,
     parse_graph6,
     random_graph,
@@ -90,12 +92,25 @@ def test_63_vertex_boundary():
     ("~~~", 1),               # >3-byte counts unsupported
     ("~??", 3),               # truncated extended count
     ("~??B??", 1),            # extended form for n < 63
+    (b"B\xff", 1),            # not ASCII
 ])
 def test_malformed_records_report_offset(record, offset):
     with pytest.raises(Graph6Error) as err:
         parse_graph6(record)
     assert err.value.offset == offset
     assert f"byte offset {offset}" in str(err.value)
+
+
+def test_over_cap_header_refused_on_its_own():
+    # ~?O@ declares 1,025 vertices and no data bytes
+    with pytest.raises(ValueError, match="vertex cap"):
+        parse_graph6("~?O@")
+
+
+def test_record_at_the_cap_roundtrips():
+    g = direct_product(complete_graph(2), complete_graph(512)).graph
+    assert g.vertex_count == VERTEX_CAP
+    assert parse_graph6(write_graph6(g)) == g
 
 
 def test_nonzero_padding_rejected():
