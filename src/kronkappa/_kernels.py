@@ -131,39 +131,40 @@ def _augmenting_path(rows, s, t, used, prv):
     return None
 
 
-def kappa_from_matrix(rows, floor=None):
+def kappa_from_matrix(rows):
     """Exact vertex connectivity of the graph whose adjacency matrix is
     ``rows``, packed as one int per row (bit j of rows[i] set when i ~ j).
 
-    Esfahanian-Hakimi: flows run only from one fixed minimum-degree vertex to
-    its non-neighbours and between non-adjacent pairs of its neighbourhood;
-    every minimum cut is seen by one of those pairs. Each flow stops at the
-    best value found so far.
-
-    On rows of G x K_c (``_product_columns``) v_min is in column 0, as a
-    layer's vertices share one degree, and permuting columns 1..c-1 maps the
-    graph onto itself. So one pair per orbit stands for the rest: targets in
-    columns 0 and 1, x in column 1 and y above x in column 1 or 2.
-
-    ``floor`` is for callers that know kappa >= floor: the result is then
-    min(kappa, floor + 1). Flows stop at floor + 1, and the search ends as
-    soon as the minimum degree or one flow reaches floor.
+    Flows run over Esfahanian-Hakimi's pairs (``_eh_pairs``) around the first
+    minimum-degree vertex, each stopping at the best value found so far.
     """
     n = len(rows)
     if n <= 1:
         return 0
     degrees = [r.bit_count() for r in rows]
-    delta = min(degrees)
-    best = delta if floor is None else min(delta, floor + 1)
-    if delta == n - 1 or best == floor:
+    best = min(degrees)
+    if best == n - 1:
         return best
-    full = (1 << n) - 1
-    if not _still_connected(rows, full):
+    if not _still_connected(rows, (1 << n) - 1):
         return 0
     if best == 1:
         return 1  # connected, so no flow is below 1
+    for s, t in _eh_pairs(rows, degrees.index(best)):
+        best = min(best, _disjoint_paths(rows, s, t, best))
+    return best
 
-    v_min = degrees.index(delta)
+
+def _eh_pairs(rows, v_min):
+    """Esfahanian-Hakimi's flow pairs (Networks 14, 1984) around v_min, the
+    first vertex of least degree: v_min with each non-neighbour, then each
+    non-adjacent pair of its neighbourhood. Every minimum cut separates one.
+
+    On rows of G x K_c (``_product_columns``) v_min is in column 0, as a
+    layer's vertices share one degree, and permuting columns 1..c-1 maps the
+    graph onto itself. So one pair per orbit stands for the rest: targets in
+    columns 0 and 1, x in column 1 and y above x in column 1 or 2.
+    """
+    full = (1 << len(rows)) - 1
     around = rows[v_min]
     far = xs = ys = full  # with no symmetry, every pair
     cols = _product_columns(rows)
@@ -176,9 +177,7 @@ def kappa_from_matrix(rows, floor=None):
     while m:
         low = m & -m
         m ^= low
-        best = min(best, _disjoint_paths(rows, v_min, low.bit_length() - 1, best))
-        if best == floor:
-            return best
+        yield v_min, low.bit_length() - 1
     m = around & xs
     while m:
         low = m & -m
@@ -188,10 +187,7 @@ def kappa_from_matrix(rows, floor=None):
         while rest:
             y_bit = rest & -rest
             rest ^= y_bit
-            best = min(best, _disjoint_paths(rows, x, y_bit.bit_length() - 1, best))
-            if best == floor:
-                return best
-    return best
+            yield x, y_bit.bit_length() - 1
 
 
 def _product_columns(rows):

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from ._kernels import (_disjoint_paths, _drop, _still_connected, brute_force_kappa_bits,
-                       kappa_from_matrix)
+from ._kernels import (_disjoint_paths, _drop, _eh_pairs, _still_connected,
+                       brute_force_kappa_bits, kappa_from_matrix)
 from .graphs import Graph, bit_indices, min_degree
 
 #: most deletion subsets the oracle may have to try, bounded before it starts
@@ -84,8 +84,9 @@ def _lex_min_cut(g: Graph, k: int) -> list[int]:
     it is not adjacent to. A vertex of degree c - 1 in G' - v settles it at
     once. Where the pairs outnumber Esfahanian-Hakimi's flows on G' - v (the
     non-neighbours of a minimum-degree vertex and the non-adjacent pairs of
-    its neighbourhood), as beside a hub or in a dense graph, the test is
-    kappa(G' - v) = c - 1.
+    its neighbourhood), as beside a hub or in a dense graph, the same test runs
+    over those pairs instead: as kappa(G' - v) >= c - 1, one of them is joined
+    by fewer than c paths exactly when kappa(G' - v) = c - 1.
     """
     rows = g._adj  # G - P, relabelled in order
     chosen = []
@@ -109,24 +110,16 @@ def _in_min_cut(rest, row, v, c):
         return True  # v has a neighbour of degree c in G', whose neighbours cut G'
     below = (1 << v) - 1
     m = row & below | row >> 1 & ~below  # v's neighbours in rest's labels
-    pairs = []  # (anchor, the later neighbours it is not adjacent to)
-    while m and len(pairs) < c:
-        low = m & -m
-        m ^= low
-        a = low.bit_length() - 1
-        pairs.append((a, m & ~rest[a]))
-    hub = rest[degrees.index(delta)]
-    flows = len(rest) - 1 - delta + sum((hub & ~rest[x] & -(2 << x)).bit_count()
-                                        for x in bit_indices(hub))
-    if sum(later.bit_count() for _, later in pairs) > flows:
-        return kappa_from_matrix(rest, floor=c - 1) == c - 1
-    for a, later in pairs:
-        while later:
-            low = later & -later
-            later ^= low
-            if _disjoint_paths(rest, a, low.bit_length() - 1, c) < c:
-                return True
-    return False
+    # (anchor, the later neighbours it is not adjacent to)
+    anchored = [(a, m & ~rest[a] & -(2 << a)) for a in bit_indices(m)[:c]]
+    hub = degrees.index(delta)
+    flows = len(rest) - 1 - delta + sum((rest[hub] & ~rest[x] & -(2 << x)).bit_count()
+                                        for x in bit_indices(rest[hub]))
+    if sum(later.bit_count() for _, later in anchored) > flows:
+        pairs = _eh_pairs(rest, hub)
+    else:
+        pairs = ((a, b) for a, later in anchored for b in bit_indices(later))
+    return any(_disjoint_paths(rest, a, b, c) < c for a, b in pairs)
 
 
 def brute_force_kappa(g: Graph) -> int:

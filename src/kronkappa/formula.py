@@ -127,10 +127,10 @@ def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> 
     """Validates that S is small enough (|S| < min(n*kappa, (n-1)*delta)) and
     leaves every layer nonempty, then contracts layers. A caller that already
     holds kappa(G) passes it as ``kappa_g``."""
+    _require_within_cap(g.vertex_count * n)
     if kappa_g is None:
         kappa_g = kappa(g)
     bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
-    _require_within_cap(g.vertex_count * n)
     if kappa_g == 0:
         raise ValueError("quotient needs a connected factor with kappa >= 1")
     m = g.vertex_count
@@ -168,10 +168,10 @@ def sample_separator(g: Graph, n: int, rng: Random, *,
     the size is redrawn; after 1000 sizes it gives up). A caller that already
     holds kappa(G) passes it as ``kappa_g``.
     """
+    _require_within_cap(g.vertex_count * n)
     if kappa_g is None:
         kappa_g = kappa(g)
     bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
-    _require_within_cap(g.vertex_count * n)
     if kappa_g == 0:
         raise ValueError("no candidate separators exist for a factor with kappa = 0")
     total = g.vertex_count * n

@@ -355,6 +355,11 @@ GOLDEN_RUNS = {
     "witness-direct-n4": (
         ("witness", INPUT, "-n", "4", "--direct"), WITNESS_FACTORS,
         "4085d9019599dd8ef25430edefa70479a1ea751223c4640c0311f015de23bb5c"),
+    # K10 x K10: 7 of the lexicographic cut's 89 membership tests run over
+    # Esfahanian-Hakimi's pairs on G' - v, which reads as a row-major product
+    "witness-direct-k10-n10": (
+        ("witness", INPUT, "-n", "10", "--direct"), "I~~~~~~~w\n",
+        "1479c1d917930805195144fbd2d80174f8716ae7908c121064290bc0d03db3f2"),
     "product-n4": (
         ("product", INPUT, "-n", "4"), WITNESS_FACTORS,
         "478cdd591785a54ecfad5ec51815b28c1b3c895f69af3cd0220c233202bca1be"),

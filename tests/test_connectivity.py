@@ -11,6 +11,7 @@ from kronkappa import (
     all_labeled_graphs,
     brute_force_kappa,
     complete_graph,
+    connected_components,
     direct_product,
     is_separator,
     kappa,
@@ -20,7 +21,7 @@ from kronkappa import (
     random_graph,
 )
 from kronkappa import _kernels, connectivity
-from kronkappa._kernels import _disjoint_paths, kappa_from_matrix
+from kronkappa._kernels import _disjoint_paths, _eh_pairs, kappa_from_matrix
 
 from conftest import graph_strategy, ref_is_separator, ref_kappa, ref_min_vertex_cut
 
@@ -138,7 +139,9 @@ def test_disjoint_paths_match_networkx_on_every_pair():
 
 @pytest.mark.parametrize("seed", range(24))
 def test_kappa_floor_returns_capped_connectivity(seed):
-    """With kappa >= floor known, the kernel returns min(kappa, floor + 1)."""
+    """The kernel returns kappa. With kappa >= floor known, flows over the
+    pair schedule cut off at floor + 1, with the minimum degree, give
+    min(kappa, floor + 1): the decision min-cut membership takes on G' - v."""
     rng = Random(seed)
     if seed % 3:
         g = random_graph(rng.randint(2, 16), rng.choice((0.2, 0.4, 0.6, 0.8, 1.0)), seed)
@@ -147,8 +150,12 @@ def test_kappa_floor_returns_capped_connectivity(seed):
         g = direct_product(factor, complete_graph(rng.choice((3, 4)))).graph
     rows = [g.adjacency_mask(v) for v in range(g.vertex_count)]
     k = nx.node_connectivity(_to_networkx(g))
+    assert kappa_from_matrix(rows) == k, seed
+    degrees = [row.bit_count() for row in rows]
+    v_min = degrees.index(min(degrees))
     for floor in range(k + 1):
-        assert kappa_from_matrix(rows, floor) == min(k, floor + 1), (seed, floor)
+        flows = [_disjoint_paths(rows, s, t, floor + 1) for s, t in _eh_pairs(rows, v_min)]
+        assert min([min(degrees), floor + 1] + flows) == min(k, floor + 1), (seed, floor)
 
 
 def _relabelled(rows, seed):
@@ -180,8 +187,8 @@ def test_product_columns_reject_non_products():
 
 
 def _orbit_schedule_agrees(g, n, reference=None):
-    """kappa_from_matrix at every floor is the same on the product's rows,
-    which get the orbit schedule, and on a relabelled copy, which does not."""
+    """kappa_from_matrix is the same on the product's rows, which get the
+    orbit schedule, and on a relabelled copy, which does not."""
     rows = direct_product(g, complete_graph(n)).graph._adj
     shuffled = _relabelled(rows, n)
     assert _kernels._product_columns(rows) == n
@@ -190,8 +197,6 @@ def _orbit_schedule_agrees(g, n, reference=None):
     assert kappa_from_matrix(rows) == k, (g, n)
     if reference is not None:
         assert k == reference, (g, n)
-    for floor in range(k + 1):
-        assert kappa_from_matrix(rows, floor) == kappa_from_matrix(shuffled, floor), (g, n, floor)
 
 
 def test_orbit_schedule_matches_the_full_schedule():
@@ -207,6 +212,14 @@ def test_orbit_schedule_matches_the_full_schedule():
         _orbit_schedule_agrees(g, n, nx.node_connectivity(_to_networkx(product)))
 
 
+def _eh_definition(rows, v_min):
+    """Esfahanian-Hakimi's pairs around v_min, straight from the definition."""
+    around = rows[v_min]
+    pairs = {(v_min, t) for t in range(len(rows)) if t != v_min and not around >> t & 1}
+    return pairs | {(x, y) for x, y in combinations(range(len(rows)), 2)
+                    if around >> x & around >> y & 1 and not rows[x] >> y & 1}
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_orbit_schedule_runs_one_pair_per_orbit(seed, monkeypatch):
     """Column permutations that fix v_min's column map a pair of G x K_n to
@@ -220,14 +233,11 @@ def test_orbit_schedule_runs_one_pair_per_orbit(seed, monkeypatch):
     rows = direct_product(g, complete_graph(n)).graph._adj
     degrees = [row.bit_count() for row in rows]
     v_min = degrees.index(min(degrees))
-    around = rows[v_min]
 
     def orbit(x, y):
         return frozenset((x // n, y // n)), x % n == y % n
 
-    full = {orbit(v_min, t) for t in range(len(rows)) if t != v_min and not around >> t & 1}
-    full |= {orbit(x, y) for x, y in combinations(range(len(rows)), 2)
-             if around >> x & around >> y & 1 and not rows[x] >> y & 1}
+    full = {orbit(x, y) for x, y in _eh_definition(rows, v_min)}
     pairs = []
     paths = _kernels._disjoint_paths
     monkeypatch.setattr(_kernels, "_disjoint_paths",
@@ -248,6 +258,37 @@ def test_dense_product_runs_one_flow_per_orbit(monkeypatch):
                         lambda *args: flows.append(args[1:3]) or paths(*args))
     assert kappa(product) == 511
     assert flows == [(0, 1), (0, 512), (513, 514)]
+
+
+def _eh_pairs_match_definition(rows):
+    degrees = [row.bit_count() for row in rows]
+    v_min = degrees.index(min(degrees))
+    pairs = list(_eh_pairs(rows, v_min))
+    assert len(pairs) == len(set(pairs)), rows
+    assert not any(rows[a] >> b & 1 for a, b in pairs), rows
+    assert set(pairs) == _eh_definition(rows, v_min), rows
+
+
+def test_eh_pairs_match_their_definition():
+    """Every connected, non-complete labelled graph on up to 6 vertices but
+    the four that read as G x K3 in row-major labels (K2 x K3, or a G with
+    loops), which get the orbit schedule; and shuffled copies of G x K_n,
+    which do not."""
+    products = 0
+    for g in all_labeled_graphs(6):
+        m = g.vertex_count
+        if g.edge_count() < m * (m - 1) // 2 and len(connected_components(g)) == 1:
+            if _kernels._product_columns(g._adj):
+                products += 1
+            else:
+                _eh_pairs_match_definition(g._adj)
+    assert products == 4
+    for seed in range(6):
+        g = random_connected_graph(4 + seed % 3, 0.5, seed)
+        rows = direct_product(g, complete_graph(3 + seed % 3)).graph._adj
+        shuffled = _relabelled(rows, seed)
+        assert _kernels._product_columns(shuffled) == 0
+        _eh_pairs_match_definition(shuffled)
 
 
 def _chain(*vertices):
@@ -392,6 +433,16 @@ def test_min_cut_of_a_100_vertex_product():
     assert cut.residual_verdict == "disconnected"
 
 
+def test_min_cut_of_a_dense_random_graph():
+    """G(100, 0.5, 2): in 53 of its 98 membership tests the anchored pairs
+    outnumber Esfahanian-Hakimi's pairs on G' - v, so the flows run over those."""
+    cut = min_vertex_cut(random_graph(100, 0.5, 2))
+    assert sorted(cut.vertices) == [
+        5, 6, 7, 10, 11, 13, 16, 20, 29, 31, 36, 37, 38, 39, 40, 45, 46, 54, 55, 58, 59, 62, 63,
+        64, 68, 69, 71, 74, 76, 80, 81, 82, 84, 88, 89, 91, 92, 94, 97]
+    assert cut.residual_verdict == "disconnected"
+
+
 def wheel(k, hub_last=False):
     """W_k: a hub joined to every vertex of C_k, the hub labelled 0 or k."""
     hub, rim = (k, range(k)) if hub_last else (0, range(1, k + 1))
@@ -400,9 +451,10 @@ def wheel(k, hub_last=False):
 
 
 def _count_branches(monkeypatch):
-    """Count the fallback searches and the local flows that min-cut
-    membership runs, through the names ``connectivity`` calls them by."""
-    counts = {"kappa_from_matrix": 0, "_disjoint_paths": 0}
+    """Count the connectivity searches, the fallback pair schedules and the
+    local flows that min-cut membership runs, through the names
+    ``connectivity`` calls them by."""
+    counts = {"kappa_from_matrix": 0, "_eh_pairs": 0, "_disjoint_paths": 0}
     for name in counts:
         real = getattr(connectivity, name)
 
@@ -417,7 +469,8 @@ def test_local_min_cut_test_matches_connectivity_search(monkeypatch):
     """v lies in a minimum cut of G, with kappa(G) = c, exactly when
     kappa(G - v) = c - 1. Every vertex of every labelled graph on up to 6
     vertices with 1 <= kappa <= V - 2, of seeded G(m, p) x K_n and of wheels
-    with the hub first or last; both the local test and its fallback run."""
+    with the hub first or last; both the local test and its fallback over
+    Esfahanian-Hakimi's pairs run, and neither computes kappa(G - v)."""
     rng = Random(19)
     graphs = list(all_labeled_graphs(6))
     graphs += [direct_product(random_connected_graph(rng.randint(3, 10), rng.choice((0.3, 0.5)),
@@ -429,9 +482,10 @@ def test_local_min_cut_test_matches_connectivity_search(monkeypatch):
     for rows, c in cases:
         for v in range(len(rows)):
             rest = _kernels._drop(rows, v)
-            expected = kappa_from_matrix(rest, floor=c - 1) == c - 1
+            expected = kappa_from_matrix(rest) == c - 1
             assert connectivity._in_min_cut(rest, rows[v], v, c) == expected, (rows, v)
-    assert counts["kappa_from_matrix"] > 0 and counts["_disjoint_paths"] > 0
+    assert counts["_eh_pairs"] > 0 and counts["_disjoint_paths"] > 0
+    assert counts["kappa_from_matrix"] == 0
 
 
 def test_min_cut_matches_subset_walk_around_hubs(monkeypatch):
@@ -449,7 +503,8 @@ def test_min_cut_matches_subset_walk_around_hubs(monkeypatch):
     counts = _count_branches(monkeypatch)
     for g in graphs:
         assert min_vertex_cut(g).vertices == ref_min_vertex_cut(g), g.edge_list()
-    assert counts["kappa_from_matrix"] > len(graphs)  # kappa(g) itself, then fallbacks
+    assert counts["kappa_from_matrix"] == len(graphs)  # kappa(g) itself
+    assert counts["_eh_pairs"] > 0
 
 
 def test_min_cut_of_a_cycle_product_runs_local_flows_only(monkeypatch):
@@ -459,4 +514,4 @@ def test_min_cut_of_a_cycle_product_runs_local_flows_only(monkeypatch):
     product = direct_product(cycle(12), complete_graph(3)).graph
     counts = _count_branches(monkeypatch)
     assert min_vertex_cut(product).vertices == {0, 1, 6, 7}
-    assert counts == {"kappa_from_matrix": 1, "_disjoint_paths": 12}
+    assert counts == {"kappa_from_matrix": 1, "_eh_pairs": 0, "_disjoint_paths": 12}

@@ -24,6 +24,7 @@ from kronkappa import (
     sample_separator,
     witness_cut,
 )
+from kronkappa import formula
 from kronkappa.checks import CHECKS, InstanceFacts
 
 from conftest import connected_graph_strategy
@@ -165,7 +166,7 @@ def test_quotient_validation_errors():
         build_quotient(c4, 2, [])
 
 
-def test_quotient_and_sampling_refuse_an_over_cap_product():
+def test_quotient_and_sampling_refuse_an_over_cap_product(monkeypatch):
     # checked before any layer is built: C4 x K_n would need 1,028 vertices
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     n = VERTEX_CAP // 4 + 1
@@ -173,6 +174,15 @@ def test_quotient_and_sampling_refuse_an_over_cap_product():
         build_quotient(c4, n, [])
     with pytest.raises(ValueError, match="vertex cap"):
         sample_separator(c4, n, Random(0))
+    # and before kappa(G): a 400-vertex factor times K3 needs 1,200 vertices
+    def no_kappa(g):
+        raise AssertionError("kappa(G) computed before the cap check")
+    monkeypatch.setattr(formula, "kappa", no_kappa)
+    big = Graph(400, [(v, v + 1) for v in range(399)])
+    with pytest.raises(ValueError, match="vertex cap"):
+        build_quotient(big, 3, [])
+    with pytest.raises(ValueError, match="vertex cap"):
+        sample_separator(big, 3, Random(0))
 
 
 def test_quotient_bound_uses_factor_kappa():
