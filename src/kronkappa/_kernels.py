@@ -195,6 +195,8 @@ def _product_columns(rows):
     (G on two or more vertices), else 0: row u*c + j must be spread_u times
     all c bits but bit j, where spread_u, read off row u*c, has bits only at
     multiples of c. Each divisor c stops at the first row that does not fit.
+    Rows of a G with loops, e.g. (54, 45, 27, 6, 5, 3), fit too: permuting
+    columns still maps them onto themselves, so the orbit schedule is exact.
     """
     size = len(rows)
     for cols in range(size // 2, 2, -1):
@@ -245,21 +247,33 @@ def brute_force_kappa_bits(rows):
     """Least k for which some k-subset removal disconnects or trivialises the
     graph whose adjacency matrix is ``rows``, packed as one int per row.
 
-    k-subsets are walked in lexicographic order with Gosper's trick. Below
-    k = n - 1 every residual keeps two or more vertices, so it is
-    disconnected exactly when its lowest vertex does not reach all of it.
+    One level of subsets is walked. The first cut is a least-degree vertex's
+    neighbourhood, which cuts it off as n >= delta + 2. A cut gives back each
+    vertex whose return leaves the residual disconnected, then Gosper's trick
+    walks the (k - 1)-subsets in lexicographic order; the first that separates
+    is the next cut. If none does, k is exact: a disconnected residual on three
+    or more vertices stays so without a non-cut vertex of a largest component
+    (any vertex if all are single), so a smaller separator implies a k - 1 one.
     """
     n = len(rows)
     full = (1 << n) - 1
     if not _still_connected(rows, full):
         return 0
-    for k in range(1, n - 1):
-        subset = (1 << k) - 1
-        while subset <= full:
+    cut = min(rows, key=int.bit_count)
+    if cut.bit_count() == n - 1:
+        return n - 1
+    while True:
+        for v in range(n):
+            if cut >> v & 1 and not _still_connected(rows, full & ~cut | 1 << v):
+                cut ^= 1 << v
+        subset = (1 << cut.bit_count() - 1) - 1
+        while 0 < subset <= full:  # a one-vertex cut is exact: G is connected
             rest = full & ~subset
             if _reach(rows, rest & -rest, rest) != rest:
-                return k
+                break
             low = subset & -subset
             ripple = subset + low
             subset = (((ripple ^ subset) >> 2) // low) | ripple
-    return n - 1
+        else:
+            return cut.bit_count()
+        cut = subset

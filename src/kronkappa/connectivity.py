@@ -123,12 +123,13 @@ def _in_min_cut(rest, row, v, c):
 
 
 def brute_force_kappa(g: Graph) -> int:
-    """Connectivity by enumerating deletion subsets in increasing size.
+    """Connectivity by walking deletion subsets one level below each cut.
 
-    Independent of the flow routine; meant as a cross-check oracle, hence the
-    work budget. kappa never exceeds the minimum degree, so at most
-    sum(C(n, j) for j <= delta) subsets are tried; a graph whose bound is
-    above ``BRUTE_FORCE_BUDGET`` is refused before enumeration starts.
+    Separating sets exist at every size from kappa to n - 2, so a cut is
+    minimum once no subset one smaller separates. Independent of the flow
+    routine; meant as a cross-check oracle, hence the work budget: each level
+    is walked at most once, within sum(C(n, j) for j <= delta) subsets, and a
+    graph whose bound is above ``BRUTE_FORCE_BUDGET`` is refused up front.
     """
     if g.vertex_count == 0:
         raise ValueError("connectivity undefined for the empty graph")

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 from random import Random
 
 import networkx as nx
@@ -71,7 +72,8 @@ def test_kappa_of_small_products():
 
 
 def test_brute_force_budget():
-    # the work budget is the only bound: K13 may need 8,191 deletion subsets
+    # the work budget is the only bound: it admits K13, which is answered from
+    # its degrees without walking a subset
     assert brute_force_kappa(complete_graph(13)) == 12
     # K7 x K3 has 21 vertices of degree 12: up to 1,695,222 deletion subsets
     product = direct_product(complete_graph(7), complete_graph(3)).graph
@@ -82,6 +84,67 @@ def test_brute_force_budget():
 def test_brute_force_past_64_vertices():
     path = Graph(70, [(i, i + 1) for i in range(69)])
     assert brute_force_kappa(path) == 1
+
+
+def _all_levels_brute_force(rows):
+    """Reference walk: every k-subset in Gosper order for k = 1, 2, ... until
+    one disconnects the graph."""
+    n = len(rows)
+    full = (1 << n) - 1
+    if not _kernels._still_connected(rows, full):
+        return 0
+    for k in range(1, n - 1):
+        subset = (1 << k) - 1
+        while subset <= full:
+            rest = full & ~subset
+            if _kernels._reach(rows, rest & -rest, rest) != rest:
+                return k
+            low = subset & -subset
+            ripple = subset + low
+            subset = (((ripple ^ subset) >> 2) // low) | ripple
+    return n - 1
+
+
+def test_one_level_walk_matches_all_levels():
+    k3 = complete_graph(3)
+    graphs = list(all_labeled_graphs(6))
+    products = [direct_product(g, k3).graph for g in all_labeled_graphs(5)]
+    assert (len(graphs), len(products)) == (33867, 1099)
+    for g in graphs + products:
+        assert brute_force_kappa(g) == _all_levels_brute_force(g._adj), g.edge_list()
+
+
+def test_brute_force_walks_one_level(monkeypatch):
+    calls = 0
+    reach = _kernels._reach
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return reach(*args)
+
+    monkeypatch.setattr(_kernels, "_reach", counted)
+    product = direct_product(complete_graph(5), complete_graph(3)).graph
+    assert brute_force_kappa(product) == 8
+    # one connectivity test, one per vertex of the first 8-vertex cut and one
+    # per 7-subset of the 15 vertices; the all-levels reference takes 16,481
+    assert calls <= comb(15, 7) + 8 + 1
+    calls = 0
+    assert _all_levels_brute_force(product._adj) == 8
+    assert calls == 16481
+
+
+def test_brute_force_runs_no_flow(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the brute force ran a flow")
+
+    for module in (_kernels, connectivity):
+        monkeypatch.setattr(module, "_disjoint_paths", refuse)
+        monkeypatch.setattr(module, "kappa_from_matrix", refuse)
+    monkeypatch.setattr(connectivity, "kappa", refuse)
+    product = direct_product(complete_graph(5), complete_graph(3)).graph
+    graphs = [parse_graph6("G{fzzw"), parse_graph6(PETERSEN), product]
+    assert [brute_force_kappa(g) for g in graphs] == [4, 3, 8]
 
 
 @given(graph_strategy(min_vertices=1, max_vertices=6))
