@@ -7,6 +7,8 @@ representation ``Graph`` already stores, so no other graph form is built.
 
 from __future__ import annotations
 
+from math import comb
+
 
 def _disjoint_paths(rows, s, t, cutoff):
     """Maximum number of internally vertex-disjoint s-t paths, but no more
@@ -231,10 +233,19 @@ def _reach(rows, start, within):
     return reach
 
 
-def _still_connected(rows, rest):
+def _still_connected(rows, rest, halves=None):
+    """Whether ``rest`` spans a connected graph on two or more vertices, by
+    ``_reach`` or by the lookup tables ``halves`` of ``brute_force_kappa_bits``."""
     if rest & (rest - 1) == 0:
         return False  # one vertex left, counts as trivialised, not connected
-    return _reach(rows, rest & -rest, rest) == rest
+    if halves is None:
+        return _reach(rows, rest & -rest, rest) == rest
+    lo, hi, h, low = halves
+    left, front = rest & (rest - 1), rest & -rest
+    while front:  # one breadth-first level per pass, by two lookups
+        front = (lo[front & low] | hi[front >> h]) & left
+        left ^= front
+    return not left
 
 
 def _drop(rows, v):
@@ -254,6 +265,12 @@ def brute_force_kappa_bits(rows):
     is the next cut. If none does, k is exact: a disconnected residual on three
     or more vertices stays so without a non-cut vertex of a largest component
     (any vertex if all are single), so a smaller separator implies a k - 1 one.
+
+    Residuals are tested by ``_still_connected``. From the first level with
+    16 * C(n, k - 1) > 2^(h+1), h = ceil(n/2) <= 16, lo[b] (hi[b]) is the OR of
+    the rows at the bits of b among the first h (last n - h) vertices, so a
+    search level is two lookups (Four Russians: Arlazarov, Dinic, Kronrod &
+    Faradzev, 1970) and the tables hold at most 2 x 65,536 entries.
     """
     n = len(rows)
     full = (1 << n) - 1
@@ -262,14 +279,22 @@ def brute_force_kappa_bits(rows):
     cut = min(rows, key=int.bit_count)
     if cut.bit_count() == n - 1:
         return n - 1
+    halves = None
+    h = n + 1 >> 1
     while True:
         for v in range(n):
-            if cut >> v & 1 and not _still_connected(rows, full & ~cut | 1 << v):
+            if cut >> v & 1 and not _still_connected(rows, full & ~cut | 1 << v, halves):
                 cut ^= 1 << v
-        subset = (1 << cut.bit_count() - 1) - 1
+        level = cut.bit_count() - 1
+        if halves is None and h <= 16 and 16 * comb(n, level) > 2 << h:
+            lo, hi = [0], [0]
+            for j, row in enumerate(rows):
+                half = lo if j < h else hi
+                half += [u | row for u in half]
+            halves = lo, hi, h, (1 << h) - 1
+        subset = (1 << level) - 1
         while 0 < subset <= full:  # a one-vertex cut is exact: G is connected
-            rest = full & ~subset
-            if _reach(rows, rest & -rest, rest) != rest:
+            if not _still_connected(rows, full & ~subset, halves):
                 break
             low = subset & -subset
             ripple = subset + low

@@ -126,10 +126,10 @@ def brute_force_kappa(g: Graph) -> int:
     """Connectivity by walking deletion subsets one level below each cut.
 
     Separating sets exist at every size from kappa to n - 2, so a cut is
-    minimum once no subset one smaller separates. Independent of the flow
-    routine; meant as a cross-check oracle, hence the work budget: each level
-    is walked at most once, within sum(C(n, j) for j <= delta) subsets, and a
-    graph whose bound is above ``BRUTE_FORCE_BUDGET`` is refused up front.
+    minimum once no subset one smaller separates. No flow is used; a graph
+    with sum(C(n, j) for j <= delta) over ``BRUTE_FORCE_BUDGET`` is refused up
+    front. From the first level of over 2^(h+1)/16 subsets, h = ceil(n/2) <= 16,
+    residuals are tested by two half-width lookup tables of at most 2^16 entries.
     """
     if g.vertex_count == 0:
         raise ValueError("connectivity undefined for the empty graph")

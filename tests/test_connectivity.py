@@ -16,6 +16,7 @@ from kronkappa import (
     direct_product,
     is_separator,
     kappa,
+    min_degree,
     min_vertex_cut,
     parse_graph6,
     random_connected_graph,
@@ -81,9 +82,25 @@ def test_brute_force_budget():
         brute_force_kappa(product)
 
 
-def test_brute_force_past_64_vertices():
+def _watch_residual_tests(monkeypatch):
+    """Record each residual test of the brute force as (rest, halves)."""
+    tests = []
+    still_connected = _kernels._still_connected
+
+    def watched(rows, rest, halves=None):
+        tests.append((rest, halves))
+        return still_connected(rows, rest, halves)
+
+    monkeypatch.setattr(_kernels, "_still_connected", watched)
+    return tests
+
+
+def test_brute_force_past_64_vertices(monkeypatch):
+    tests = _watch_residual_tests(monkeypatch)
     path = Graph(70, [(i, i + 1) for i in range(69)])
     assert brute_force_kappa(path) == 1
+    # a one-vertex cut walks no subsets, and 35-vertex halves are over the bound
+    assert tests and all(halves is None for _, halves in tests)
 
 
 def _all_levels_brute_force(rows):
@@ -115,6 +132,19 @@ def test_one_level_walk_matches_all_levels():
 
 
 def test_brute_force_walks_one_level(monkeypatch):
+    tests = _watch_residual_tests(monkeypatch)
+    product = direct_product(complete_graph(5), complete_graph(3)).graph
+    assert brute_force_kappa(product) == 8
+    # every residual test, by the tables or by _reach, is one _still_connected
+    # call: one for the whole graph, one per vertex of the first 8-vertex cut
+    # and one per 7-subset of the 15 vertices; the all-levels reference takes 16,481
+    assert len(tests) <= comb(15, 7) + 8 + 1
+    # kappa = 8 is proved only by testing the residual of every 7-subset
+    assert len({rest for rest, _ in tests if rest.bit_count() == 8}) == comb(15, 7)
+    # 16 * C(15, 7) > 2^9, so the 7-level is walked with tables of 2^8 + 2^7 entries
+    tables = {id(halves): halves for _, halves in tests if halves is not None}
+    assert [(len(lo), len(hi), h) for lo, hi, h, _ in tables.values()] == [(256, 128, 8)]
+    monkeypatch.undo()
     calls = 0
     reach = _kernels._reach
 
@@ -124,14 +154,63 @@ def test_brute_force_walks_one_level(monkeypatch):
         return reach(*args)
 
     monkeypatch.setattr(_kernels, "_reach", counted)
-    product = direct_product(complete_graph(5), complete_graph(3)).graph
-    assert brute_force_kappa(product) == 8
-    # one connectivity test, one per vertex of the first 8-vertex cut and one
-    # per 7-subset of the 15 vertices; the all-levels reference takes 16,481
-    assert calls <= comb(15, 7) + 8 + 1
-    calls = 0
     assert _all_levels_brute_force(product._adj) == 8
     assert calls == 16481
+
+
+def test_table_walk_matches_references(monkeypatch):
+    tests = _watch_residual_tests(monkeypatch)
+    k4, k5 = complete_graph(4), complete_graph(5)
+    products = [direct_product(g, k4).graph for g in all_labeled_graphs(4)]
+    assert len(products) == 75
+    products += [direct_product(k5, k4).graph, direct_product(k4, k5).graph]
+    draws = []  # random graphs on 13-24 vertices within the budget
+    seed = 0
+    while len(draws) < 30:
+        rng = Random(seed)
+        g = random_graph(rng.randint(13, 24), rng.choice((0.3, 0.5, 0.7)), seed)
+        seed += 1
+        try:
+            connectivity.require_brute_force_budget(g.vertex_count, min_degree(g))
+        except ValueError:
+            continue
+        draws.append(g)
+    tabled = set()
+    for g in products + draws:
+        tests.clear()
+        brute = brute_force_kappa(g)
+        assert brute == kappa(g), g.edge_list()
+        n = g.vertex_count
+        if sum(comb(n, j) for j in range(brute)) <= 50_000:
+            assert brute == _all_levels_brute_force(g._adj), g.edge_list()
+        for _, halves in tests:
+            if halves is not None:
+                lo, hi, h, low = halves
+                assert (len(lo), len(hi), low) == (1 << h, 1 << n - h, (1 << h) - 1)
+                assert h == (n + 1) // 2 <= 16
+                tabled.add(n)
+    # the tables served odd and even vertex counts, and halves of 9 or more vertices
+    assert {n % 2 for n in tabled} == {0, 1} and max(tabled) > 16, tabled
+
+
+@pytest.mark.parametrize("n", [33, 38])
+def test_brute_force_tables_stay_within_their_bound(n, monkeypatch):
+    # two cliques joined only through 0..3, and vertex n - 1 joined to five
+    # vertices of the second: minimum degree 5, kappa 4. The first cut, N(n - 1),
+    # is a minimal separator, so the 4-level of C(n, 4) subsets passes the
+    # build rule; from 33 vertices on, h = ceil(n/2) >= 17 would make tables of
+    # 2^17 entries or more (2 x 2^19 at 38 vertices), so none are built
+    a, b = range(4, n // 2 + 2), range(n // 2 + 2, n - 1)
+    edges = [(u, v) for side in (a, b) for u, v in combinations(side, 2)]
+    edges += [(u, v) for u in range(4) for v in range(u + 1, n - 1)]
+    edges += [(v, n - 1) for v in b[:5]]
+    g = Graph(n, edges)
+    connectivity.require_brute_force_budget(n, min_degree(g))
+    assert min_degree(g) == 5 and 16 * comb(n, 4) > 2 << (n + 1) // 2
+    tests = _watch_residual_tests(monkeypatch)
+    assert brute_force_kappa(g) == kappa(g) == 4
+    assert any(rest.bit_count() == n - 4 for rest, _ in tests)  # the 4-level was walked
+    assert all(halves is None for _, halves in tests)
 
 
 def test_brute_force_runs_no_flow(monkeypatch):
