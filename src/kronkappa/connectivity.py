@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from ._kernels import (_disjoint_paths, _drop, _eh_pairs, _still_connected,
-                       brute_force_kappa_bits, kappa_from_matrix)
+from ._kernels import (_disjoint_paths, _drop, _still_connected, brute_force_kappa_bits,
+                       kappa_from_matrix)
 from .graphs import Graph, bit_indices, min_degree
 
 #: most deletion subsets the oracle may have to try, bounded before it starts
@@ -81,12 +81,9 @@ def _lex_min_cut(g: Graph, k: int) -> list[int]:
     which S - v separates; and Menger's cut of at most c - 1 vertices between
     a and b in G' - v, plus v, cuts G'. S - v holds at most c - 1 neighbours of
     v, so only v's first c neighbours anchor a pair, each with the later ones
-    it is not adjacent to. A vertex of degree c - 1 in G' - v settles it at
-    once. Where the pairs outnumber Esfahanian-Hakimi's flows on G' - v (the
-    non-neighbours of a minimum-degree vertex and the non-adjacent pairs of
-    its neighbourhood), as beside a hub or in a dense graph, the same test runs
-    over those pairs instead: as kappa(G' - v) >= c - 1, one of them is joined
-    by fewer than c paths exactly when kappa(G' - v) = c - 1.
+    it is not adjacent to. A neighbour of v with degree c - 1 in G' - v
+    settles it at once, and only a neighbour can have that degree: any other
+    vertex keeps its degree in G', at least c.
     """
     rows = g._adj  # G - P, relabelled in order
     chosen = []
@@ -104,22 +101,13 @@ def _lex_min_cut(g: Graph, k: int) -> list[int]:
 def _in_min_cut(rest, row, v, c):
     """Whether v, whose row is ``row``, lies in a minimum cut of a G' with
     kappa(G') = c, given G' - v as ``rest`` (see ``_lex_min_cut``)."""
-    degrees = [r.bit_count() for r in rest]
-    delta = min(degrees)
-    if delta < c:
-        return True  # v has a neighbour of degree c in G', whose neighbours cut G'
     below = (1 << v) - 1
-    m = row & below | row >> 1 & ~below  # v's neighbours in rest's labels
-    # (anchor, the later neighbours it is not adjacent to)
-    anchored = [(a, m & ~rest[a] & -(2 << a)) for a in bit_indices(m)[:c]]
-    hub = degrees.index(delta)
-    flows = len(rest) - 1 - delta + sum((rest[hub] & ~rest[x] & -(2 << x)).bit_count()
-                                        for x in bit_indices(rest[hub]))
-    if sum(later.bit_count() for _, later in anchored) > flows:
-        pairs = _eh_pairs(rest, hub)
-    else:
-        pairs = ((a, b) for a, later in anchored for b in bit_indices(later))
-    return any(_disjoint_paths(rest, a, b, c) < c for a, b in pairs)
+    neighbours = bit_indices(row & below | row >> 1 & ~below)  # in rest's labels
+    if any(rest[x].bit_count() < c for x in neighbours):
+        return True  # that neighbour has degree c in G'; its neighbours, v among them, cut G'
+    # each of v's first c neighbours with the later ones it is not adjacent to
+    return any(_disjoint_paths(rest, a, b, c) < c for i, a in enumerate(neighbours[:c])
+               for b in neighbours[i + 1:] if not rest[a] >> b & 1)
 
 
 def brute_force_kappa(g: Graph) -> int:

@@ -355,8 +355,8 @@ GOLDEN_RUNS = {
     "witness-direct-n4": (
         ("witness", INPUT, "-n", "4", "--direct"), WITNESS_FACTORS,
         "4085d9019599dd8ef25430edefa70479a1ea751223c4640c0311f015de23bb5c"),
-    # K10 x K10: 7 of the lexicographic cut's 89 membership tests run over
-    # Esfahanian-Hakimi's pairs on G' - v, which reads as a row-major product
+    # K10 x K10: a dense product, where the lexicographic cut makes 89
+    # membership tests, each anchored at up to c of v's 81 neighbours
     "witness-direct-k10-n10": (
         ("witness", INPUT, "-n", "10", "--direct"), "I~~~~~~~w\n",
         "1479c1d917930805195144fbd2d80174f8716ae7908c121064290bc0d03db3f2"),

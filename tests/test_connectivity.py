@@ -576,8 +576,8 @@ def test_min_cut_of_a_100_vertex_product():
 
 
 def test_min_cut_of_a_dense_random_graph():
-    """G(100, 0.5, 2): in 53 of its 98 membership tests the anchored pairs
-    outnumber Esfahanian-Hakimi's pairs on G' - v, so the flows run over those."""
+    """G(100, 0.5, 2): a dense graph, where each membership test anchors up to
+    c of v's ~50 neighbours."""
     cut = min_vertex_cut(random_graph(100, 0.5, 2))
     assert sorted(cut.vertices) == [
         5, 6, 7, 10, 11, 13, 16, 20, 29, 31, 36, 37, 38, 39, 40, 45, 46, 54, 55, 58, 59, 62, 63,
@@ -593,10 +593,9 @@ def wheel(k, hub_last=False):
 
 
 def _count_branches(monkeypatch):
-    """Count the connectivity searches, the fallback pair schedules and the
-    local flows that min-cut membership runs, through the names
-    ``connectivity`` calls them by."""
-    counts = {"kappa_from_matrix": 0, "_eh_pairs": 0, "_disjoint_paths": 0}
+    """Count the connectivity searches and the local flows that min-cut
+    membership runs, through the names ``connectivity`` calls them by."""
+    counts = {"kappa_from_matrix": 0, "_disjoint_paths": 0}
     for name in counts:
         real = getattr(connectivity, name)
 
@@ -610,15 +609,16 @@ def _count_branches(monkeypatch):
 def test_local_min_cut_test_matches_connectivity_search(monkeypatch):
     """v lies in a minimum cut of G, with kappa(G) = c, exactly when
     kappa(G - v) = c - 1. Every vertex of every labelled graph on up to 6
-    vertices with 1 <= kappa <= V - 2, of seeded G(m, p) x K_n and of wheels
-    with the hub first or last; both the local test and its fallback over
-    Esfahanian-Hakimi's pairs run, and neither computes kappa(G - v)."""
+    vertices with 1 <= kappa <= V - 2, of seeded G(m, p) x K_n, of wheels
+    with the hub first or last and of the dense K4 x K4 and K5 x K5; the local
+    test runs flows and never computes kappa(G - v)."""
     rng = Random(19)
     graphs = list(all_labeled_graphs(6))
     graphs += [direct_product(random_connected_graph(rng.randint(3, 10), rng.choice((0.3, 0.5)),
                                                      seed), complete_graph(3 + seed % 3)).graph
                for seed in range(12)]
     graphs += [wheel(k, hub_last) for k in (4, 6, 9, 30) for hub_last in (False, True)]
+    graphs += [direct_product(complete_graph(m), complete_graph(m)).graph for m in (4, 5)]
     cases = [(g._adj, c) for g in graphs for c in [kappa(g)] if 1 <= c <= g.vertex_count - 2]
     counts = _count_branches(monkeypatch)
     for rows, c in cases:
@@ -626,14 +626,13 @@ def test_local_min_cut_test_matches_connectivity_search(monkeypatch):
             rest = _kernels._drop(rows, v)
             expected = kappa_from_matrix(rest) == c - 1
             assert connectivity._in_min_cut(rest, rows[v], v, c) == expected, (rows, v)
-    assert counts["_eh_pairs"] > 0 and counts["_disjoint_paths"] > 0
+    assert counts["_disjoint_paths"] > 0
     assert counts["kappa_from_matrix"] == 0
 
 
 def test_min_cut_matches_subset_walk_around_hubs(monkeypatch):
-    """Inputs whose vertices have more neighbours than anchors or run the
-    fallback search: wheels with the hub first and last, K_{2,5}, K3 x K4,
-    every factor on up to 4 vertices times K3, C4 x K4, and K_{2,4} with a
+    """Inputs whose vertices have more neighbours than anchors: wheels with
+    the hub first and last, K_{2,5}, K3 x K4, every factor on up to 4 vertices times K3, C4 x K4, and K_{2,4} with a
     perfect matching added on its side of 4."""
     graphs = [wheel(k, hub_last) for k in range(4, 10) for hub_last in (False, True)]
     graphs.append(Graph(7, [(a, b) for a in range(2) for b in range(2, 7)]))
@@ -646,7 +645,6 @@ def test_min_cut_matches_subset_walk_around_hubs(monkeypatch):
     for g in graphs:
         assert min_vertex_cut(g).vertices == ref_min_vertex_cut(g), g.edge_list()
     assert counts["kappa_from_matrix"] == len(graphs)  # kappa(g) itself
-    assert counts["_eh_pairs"] > 0
 
 
 def test_min_cut_of_a_cycle_product_runs_local_flows_only(monkeypatch):
@@ -656,4 +654,14 @@ def test_min_cut_of_a_cycle_product_runs_local_flows_only(monkeypatch):
     product = direct_product(cycle(12), complete_graph(3)).graph
     counts = _count_branches(monkeypatch)
     assert min_vertex_cut(product).vertices == {0, 1, 6, 7}
-    assert counts == {"kappa_from_matrix": 1, "_eh_pairs": 0, "_disjoint_paths": 12}
+    assert counts == {"kappa_from_matrix": 1, "_disjoint_paths": 12}
+
+
+def test_min_cut_of_a_wheel_product_with_the_hub_first(monkeypatch):
+    """W30 x K3 with the hub labelled 0 (kappa 6): the hub's copies have 60
+    neighbours each, yet the membership tests stay local to v, running 238
+    flows and no connectivity search past kappa(product)."""
+    product = direct_product(wheel(30), complete_graph(3)).graph
+    counts = _count_branches(monkeypatch)
+    assert min_vertex_cut(product).vertices == {0, 1, 3, 4, 9, 10}
+    assert counts == {"kappa_from_matrix": 1, "_disjoint_paths": 238}
