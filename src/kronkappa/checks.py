@@ -13,52 +13,17 @@ instance; each condition for running one is written there and nowhere else.
 from __future__ import annotations
 
 import time
-from functools import cached_property
 from random import Random
 
 from ._kernels import _reach
 from .connectivity import brute_force_kappa, is_separator, kappa
-from .formula import (FormulaResult, build_quotient, formula_kappa_product, sample_separator,
-                      witness_vertices)
-from .graphio import parse_graph6, write_graph6
-from .graphs import (
-    Graph,
-    _require_within_cap,
-    connected_components,
-    delete_vertex,
-    min_degree,
-    odd_cycle_status,
-)
-from .products import complete_graph, direct_product
+from .formula import InstanceFacts, witness_vertices
+from .graphio import parse_graph6
+from .graphs import Graph, connected_components, delete_vertex, min_degree, odd_cycle_status
+from .products import complete_graph
 from .reports import VerificationReport, elapsed_ms_since, verdict_of
 
 ORACLES = ("brute", "flow", "both")
-
-
-class InstanceFacts:
-    """One instance's facts: the factor G with its graph6 record, kappa(G)
-    and delta(G), and the second factor H = K_n. The product G x K_n and the
-    closed form are computed on first use and kept, so the checks of one
-    instance share them. A G on two or more vertices is connected exactly
-    when kappa(G) > 0.
-    """
-
-    def __init__(self, g: Graph, n: int):
-        self.g = g
-        self.n = n
-        self.h = complete_graph(n)
-        _require_within_cap(g.vertex_count * n)  # before kappa(G) is paid for
-        self.graph6 = write_graph6(g)
-        self.kappa_g = kappa(g)
-        self.delta_g = min_degree(g)
-
-    @cached_property
-    def product(self) -> Graph:
-        return direct_product(self.g, self.h).graph
-
-    @cached_property
-    def closed_form(self) -> FormulaResult:
-        return formula_kappa_product(self.kappa_g, self.delta_g, self.n)
 
 
 def _theorem_equality(f: InstanceFacts, oracle: str = "flow"):
@@ -125,7 +90,7 @@ def _deletion_monotonicity(f: InstanceFacts):
 
 def _quotient_connected(f: InstanceFacts, S):
     """Below the closed-form bound, the layer quotient must stay connected."""
-    quotient = build_quotient(f.g, f.n, S, kappa_g=f.kappa_g)
+    quotient = f.quotient(S)
     components = len(connected_components(quotient.graph))
     return {"quotient_components": components, "connected": components == 1}, components == 1
 
@@ -133,8 +98,8 @@ def _quotient_connected(f: InstanceFacts, S):
 def _layer_in_component(f: InstanceFacts, S):
     """Below the bound, each layer remainder must land in one component of
     the punctured product (so S cannot split any single layer across parts)."""
-    quotient = build_quotient(f.g, f.n, S, kappa_g=f.kappa_g)
-    # build_quotient has checked that S leaves each layer nonempty
+    quotient = f.quotient(S)
+    # the quotient has checked that S leaves each layer nonempty
     remainders = [sum(1 << v for v in rem) for rem in quotient.remainders]
     kept = sum(remainders)  # the layers are disjoint
     rows = f.product._adj
@@ -211,7 +176,7 @@ def lemma_battery(f: InstanceFacts, seed: int = 0, separator_samples: int = 1):
     if f.n >= 3 and f.kappa_g > 0:
         rng = Random(seed)
         for _ in range(separator_samples):
-            chosen = sample_separator(f.g, f.n, rng, kappa_g=f.kappa_g)
+            chosen = f.sample_separator(rng)
             with_s = {**base, "S": sorted(chosen), "seed": seed}
             yield run_check("quotient_connected", f, with_s, S=chosen)
             yield run_check("layer_in_component", f, dict(with_s), S=chosen)

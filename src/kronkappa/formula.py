@@ -13,9 +13,11 @@ K_2 products of bipartite factors fall apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 
 from .connectivity import CutWitness, _lex_min_cut, is_separator, kappa
+from .graphio import write_graph6
 from .graphs import Graph, _require_within_cap, bit_indices, min_degree
 from .products import complete_graph, direct_product
 
@@ -69,21 +71,10 @@ def kappa_product_fast(g: Graph, n: int) -> int:
 
 
 def witness_cut(g: Graph, n: int) -> CutWitness:
-    """An explicit minimum separator of G x K_n matching the closed form.
-
-    The set is the one ``witness_vertices`` builds; it is re-checked against
-    the actual product before being returned.
-    """
+    """An explicit minimum separator of G x K_n matching the closed form:
+    ``InstanceFacts.witness``."""
     _require_applicable(n)
-    product = direct_product(g, complete_graph(n)).graph  # refuses an over-cap product
-    result = formula_kappa_product(kappa(g), min_degree(g), n)
-    chosen, branch = witness_vertices(g, result)
-    if len(chosen) != result.value:
-        raise AssertionError("witness size does not match the closed form")
-    if not is_separator(product, chosen):
-        raise AssertionError("constructed witness does not separate the product")
-    left = product.vertex_count - len(chosen)
-    return CutWitness(chosen, "trivial" if left == 1 else "disconnected", branch)
+    return InstanceFacts(g, n).witness()
 
 
 def witness_vertices(g: Graph, result: FormulaResult) -> tuple[frozenset[int], str]:
@@ -123,64 +114,103 @@ class QuotientGraph:
     graph: Graph
 
 
-def build_quotient(g: Graph, n: int, removed, *, kappa_g: int | None = None) -> QuotientGraph:
-    """Validates that S is small enough (|S| < min(n*kappa, (n-1)*delta)) and
-    leaves every layer nonempty, then contracts layers. A caller that already
-    holds kappa(G) passes it as ``kappa_g``."""
-    _require_within_cap(g.vertex_count * n)
-    if kappa_g is None:
-        kappa_g = kappa(g)
-    bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
-    if kappa_g == 0:
-        raise ValueError("quotient needs a connected factor with kappa >= 1")
-    m = g.vertex_count
-    removed = frozenset(removed)
-    for v in removed:
-        if not 0 <= v < m * n:
-            raise ValueError(f"product vertex {v} out of range")
-    if len(removed) >= bound:
-        raise ValueError(
-            f"candidate separator has {len(removed)} vertices; "
-            f"must stay below min(n*kappa, (n-1)*delta) = {bound}")
-    remainders = []
-    for i in range(m):
-        rem = frozenset(range(i * n, (i + 1) * n)) - removed
-        if not rem:
-            raise ValueError(f"candidate separator empties layer {i}")
-        remainders.append(rem)
-    masks = [0] * m
-    for i, j in g.edge_list():
-        # joined unless both remainders are one vertex in the same column
-        rem_i, rem_j = remainders[i], remainders[j]
-        if len(rem_i) > 1 or len(rem_j) > 1 or min(rem_i) % n != min(rem_j) % n:
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return QuotientGraph(removed=removed, remainders=tuple(remainders),
-                         graph=Graph.from_adjacency(masks))
+def build_quotient(g: Graph, n: int, removed) -> QuotientGraph:
+    """``InstanceFacts.quotient`` of G x K_n minus ``removed``."""
+    _require_applicable(n)
+    return InstanceFacts(g, n).quotient(removed)
 
 
-def sample_separator(g: Graph, n: int, rng: Random, *,
-                     kappa_g: int | None = None) -> frozenset[int]:
-    """Random candidate separator for the quotient checks.
+def sample_separator(g: Graph, n: int, rng: Random) -> frozenset[int]:
+    """``InstanceFacts.sample_separator`` on G x K_n, drawing from ``rng``."""
+    _require_applicable(n)
+    return InstanceFacts(g, n).sample_separator(rng)
 
-    Draws |S| uniformly from 0 .. bound-1 and S uniformly among product vertex
-    sets of that size, rejecting draws that empty a layer (after 100 rejections
-    the size is redrawn; after 1000 sizes it gives up). A caller that already
-    holds kappa(G) passes it as ``kappa_g``.
+
+class InstanceFacts:
+    """One instance's facts: the factor G with kappa(G) and delta(G), and the
+    second factor H = K_n. G's graph6 record, the product G x K_n and the
+    closed form are computed on first use and kept, so the checks of one
+    instance share them. A G on two or more vertices is connected exactly
+    when kappa(G) > 0.
     """
-    _require_within_cap(g.vertex_count * n)
-    if kappa_g is None:
-        kappa_g = kappa(g)
-    bound = formula_kappa_product(kappa_g, min_degree(g), n).value  # refuses n < 3 first
-    if kappa_g == 0:
-        raise ValueError("no candidate separators exist for a factor with kappa = 0")
-    total = g.vertex_count * n
-    for _ in range(1000):
-        size = rng.randrange(bound)
-        for _attempt in range(100):
-            chosen = frozenset(rng.sample(range(total), size))
-            if all(sum(1 for v in chosen if v // n == i) < n
-                   for i in range(g.vertex_count)):
-                return chosen
-        # this size keeps emptying some layer; try another
-    raise RuntimeError("could not sample a layer-respecting candidate separator")
+
+    def __init__(self, g: Graph, n: int):
+        self.g = g
+        self.n = n
+        self.h = complete_graph(n)
+        _require_within_cap(g.vertex_count * n)  # before kappa(G) is paid for
+        self.kappa_g = kappa(g)
+        self.delta_g = min_degree(g)
+
+    @cached_property
+    def graph6(self) -> str:
+        return write_graph6(self.g)
+
+    @cached_property
+    def product(self) -> Graph:
+        return direct_product(self.g, self.h).graph
+
+    @cached_property
+    def closed_form(self) -> FormulaResult:
+        return formula_kappa_product(self.kappa_g, self.delta_g, self.n)
+
+    def witness(self) -> CutWitness:
+        """``witness_vertices``' separator, re-checked against the product."""
+        chosen, branch = witness_vertices(self.g, self.closed_form)
+        if len(chosen) != self.closed_form.value:
+            raise AssertionError("witness size does not match the closed form")
+        if not is_separator(self.product, chosen):
+            raise AssertionError("constructed witness does not separate the product")
+        # n >= 3, connected G, m >= 2: n(m - kappa) >= 2n or mn - (n-1)delta >= m+n-1 remain
+        return CutWitness(chosen, "disconnected", branch)
+
+    def quotient(self, removed) -> QuotientGraph:
+        """Validates that S is small enough (|S| < min(n*kappa, (n-1)*delta))
+        and leaves every layer nonempty, then contracts layers."""
+        bound = self.closed_form.value  # refuses n < 3 first
+        if self.kappa_g == 0:
+            raise ValueError("quotient needs a connected factor with kappa >= 1")
+        g, n, m = self.g, self.n, self.g.vertex_count
+        removed = frozenset(removed)
+        for v in removed:
+            if not 0 <= v < m * n:
+                raise ValueError(f"product vertex {v} out of range")
+        if len(removed) >= bound:
+            raise ValueError(
+                f"candidate separator has {len(removed)} vertices; "
+                f"must stay below min(n*kappa, (n-1)*delta) = {bound}")
+        remainders = []
+        for i in range(m):
+            rem = frozenset(range(i * n, (i + 1) * n)) - removed
+            if not rem:
+                raise ValueError(f"candidate separator empties layer {i}")
+            remainders.append(rem)
+        masks = [0] * m
+        for i, j in g.edge_list():
+            # joined unless both remainders are one vertex in the same column
+            rem_i, rem_j = remainders[i], remainders[j]
+            if len(rem_i) > 1 or len(rem_j) > 1 or min(rem_i) % n != min(rem_j) % n:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        return QuotientGraph(removed=removed, remainders=tuple(remainders),
+                             graph=Graph.from_adjacency(masks))
+
+    def sample_separator(self, rng: Random) -> frozenset[int]:
+        """Random candidate separator for the quotient checks.
+
+        Draws |S| uniformly from 0 .. bound-1 and S uniformly among product
+        vertex sets of that size, rejecting draws that empty a layer (after
+        100 rejections the size is redrawn; after 1000 sizes it gives up).
+        """
+        bound = self.closed_form.value  # refuses n < 3 first
+        if self.kappa_g == 0:
+            raise ValueError("no candidate separators exist for a factor with kappa = 0")
+        m, n = self.g.vertex_count, self.n
+        for _ in range(1000):
+            size = rng.randrange(bound)
+            for _attempt in range(100):
+                chosen = frozenset(rng.sample(range(m * n), size))
+                if all(sum(1 for v in chosen if v // n == i) < n for i in range(m)):
+                    return chosen
+            # this size keeps emptying some layer; try another
+        raise RuntimeError("could not sample a layer-respecting candidate separator")

@@ -316,6 +316,15 @@ def test_console_script_installed():
 INPUT = "INPUT"
 # C4, P3, C5, two triangles joined by an edge, K4, K_{2,3}
 WITNESS_FACTORS = "Cl\nBg\nDhc\nExCW\nC~\nD]o\n"
+# C20 with chords i ~ i+2, W30 with its hub labelled 0, K10, G(20, 0.3, 1)
+# and G(40, 0.3, 1): the factors of CI's "Direct witness on larger products"
+LARGER_FACTORS = (
+    "SzKWWKB?W@_B?B?@_?W?B??K??[??]??K\n"
+    "^|eKKE@_K?o@_@_?o?K?@_?E??K??K??E??@_??K???o??@_??@_???o???K???@_???E????M????G\n"
+    "I~~~~~~~w\n"
+    "Si__qobp]b_OBHOIw?I?_?ZB?gQOpOBd?\n"
+    "ghdGWOAica?P?GFQu??a{@[a}t_agIIMB?O_cCGGe@GhNICFpKFdbGgC[JGs@`QR_IAA?_"
+    "GBh?g_AgKA@?GA@SoW?e?_mUiqD?AAwOo?`oaoGOs@CsOCW_C@O?[o@IQcEO[\n")
 GOLDEN_RUNS = {
     "sweep-exhaustive": (
         ("sweep", "--config", INPUT),
@@ -340,6 +349,10 @@ GOLDEN_RUNS = {
         ("verify-lemmas", INPUT, "-n", "3", "--samples", "3"),
         "@\nBg\nC`\nDhc\nC~\nDxK\n",
         "ee6435b9d677241d29466a2ea498943a290098da7f3529b1008e23eb1c29a3c1"),
+    # samples and quotients on 50-200-vertex products
+    "verify-lemmas-larger": (
+        ("verify-lemmas", INPUT, "-n", "5", "--samples", "25"), LARGER_FACTORS,
+        "26931db735c9455c01076bd504ae2916e04cc604dc2acbf30ed3194d471dfcf8"),
     "witness": (
         ("witness", INPUT, "-n", "3"), WITNESS_FACTORS,
         "62681f0aad19f21185b7d4bb944b4bbf8bf02ea903493cbfc2165c3f2a411efb"),

@@ -166,6 +166,19 @@ def test_quotient_validation_errors():
         build_quotient(c4, 2, [])
 
 
+@pytest.mark.parametrize("n", [2, 1, 0, -1])
+def test_closed_form_machinery_refuses_small_n_before_building_k_n(n):
+    # complete_graph(n) refuses n < 1 with a plain ValueError; n < 3 is
+    # refused as FormulaInapplicable before it is built
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(FormulaInapplicable):
+        witness_cut(c4, n)
+    with pytest.raises(FormulaInapplicable):
+        build_quotient(c4, n, [])
+    with pytest.raises(FormulaInapplicable):
+        sample_separator(c4, n, Random(0))
+
+
 def test_quotient_and_sampling_refuse_an_over_cap_product(monkeypatch):
     # checked before any layer is built: C4 x K_n would need 1,028 vertices
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -193,8 +206,7 @@ def test_quotient_bound_uses_factor_kappa():
         with pytest.raises(ValueError, match="below"):
             check(g, 3, [0, 3, 6])
     with pytest.raises(ValueError, match="below"):
-        build_quotient(g, 3, [0, 3, 6], kappa_g=1)
-    assert sample_separator(g, 3, Random(5), kappa_g=1) == sample_separator(g, 3, Random(5))
+        build_quotient(g, 3, [0, 3, 6])
 
 
 def test_quotient_reports_pass_on_valid_sample():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -19,7 +20,7 @@ from kronkappa import (
     run_sweep,
     theorem_checks,
 )
-from kronkappa import sweep
+from kronkappa import formula, graphs, sweep
 from kronkappa.checks import CHECKS
 from kronkappa.cli import main
 
@@ -272,6 +273,29 @@ def test_lemma_checks_below_n3_draws_no_quotients():
     p3 = Graph(3, [(0, 1), (1, 2)])
     names = [r.check_name for r in lemma_checks(p3, 2, separator_samples=5)]
     assert names == ["weichsel_iff", "degree_product", "deletion_monotonicity"]
+
+
+def test_one_closed_form_per_instance(monkeypatch):
+    """instance_checks on C4 x K3 computes the closed form once and delta(C4)
+    once, counted through every module's binding of the two names: the
+    witness, the sampled separator and both quotients read the instance's
+    facts."""
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    counts = {"formula_kappa_product": 0, "min_degree": 0}
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "kronkappa"]
+    for name, real in (("formula_kappa_product", formula.formula_kappa_product),
+                       ("min_degree", graphs.min_degree)):
+        def counted(*args, _real=real, _name=name, **kwargs):
+            if _name != "min_degree" or args[0] is c4:
+                counts[_name] += 1
+            return _real(*args, **kwargs)
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    reports = instance_checks(c4, 3, oracle="flow", seed=0)
+    assert all(r.passed for r in reports)
+    assert "quotient_connected" in [r.check_name for r in reports]
+    assert counts == {"formula_kappa_product": 1, "min_degree": 1}
 
 
 def test_run_sweep_is_lazy(monkeypatch):
