@@ -138,7 +138,9 @@ def kappa_from_matrix(rows):
     ``rows``, packed as one int per row (bit j of rows[i] set when i ~ j).
 
     Flows run over Esfahanian-Hakimi's pairs (``_eh_pairs``) around the first
-    minimum-degree vertex, each stopping at the best value found so far.
+    minimum-degree vertex v, each stopping at the best value found so far.
+    A target t of v with ``best`` known neighbours (v's, or settled targets x
+    with kappa(v, x) >= best) runs none: a smaller v-t cut must hold them all.
     """
     n = len(rows)
     if n <= 1:
@@ -151,25 +153,36 @@ def kappa_from_matrix(rows):
         return 0
     if best == 1:
         return 1  # connected, so no flow is below 1
-    for s, t in _eh_pairs(rows, degrees.index(best)):
-        best = min(best, _disjoint_paths(rows, s, t, best))
+    v_min = degrees.index(best)
+    cols = _product_columns(rows)
+    known = rows[v_min]
+    for s, t in _eh_pairs(rows, v_min, cols):
+        if s != v_min or (rows[t] & known).bit_count() < best:
+            best = min(best, _disjoint_paths(rows, s, t, best))
+        if s == v_min:
+            known |= _settled(t, cols)
     return best
 
 
-def _eh_pairs(rows, v_min):
+def _settled(t, cols):
+    """v_min's targets settled with t: its orbit (w, 1..cols-1) when t is some
+    (w, j >= 1) of G x K_cols (columns move, column 0 stays), else t alone."""
+    return ((1 << cols) - 2) << t - t % cols if cols and t % cols else 1 << t
+
+
+def _eh_pairs(rows, v_min, cols):
     """Esfahanian-Hakimi's flow pairs (Networks 14, 1984) around v_min, the
     first vertex of least degree: v_min with each non-neighbour, then each
     non-adjacent pair of its neighbourhood. Every minimum cut separates one.
 
-    On rows of G x K_c (``_product_columns``) v_min is in column 0, as a
-    layer's vertices share one degree, and permuting columns 1..c-1 maps the
-    graph onto itself. So one pair per orbit stands for the rest: targets in
-    columns 0 and 1, x in column 1 and y above x in column 1 or 2.
+    On rows of G x K_cols (``_product_columns``) v_min is in column 0, as a
+    layer's vertices share one degree, and permuting columns 1..cols-1 maps
+    the graph onto itself. So one pair per orbit stands for the rest: targets
+    in columns 0 and 1, x in column 1 and y above x in column 1 or 2.
     """
     full = (1 << len(rows)) - 1
     around = rows[v_min]
     far = xs = ys = full  # with no symmetry, every pair
-    cols = _product_columns(rows)
     if cols:
         base = full // ((1 << cols) - 1)  # bit u * cols for each layer u
         far = base | base << 1

@@ -88,17 +88,15 @@ def _deletion_monotonicity(f: InstanceFacts):
     return {"kappa_g": f.kappa_g, "delta_g": f.delta_g, "all_hold": holds}, holds
 
 
-def _quotient_connected(f: InstanceFacts, S):
+def _quotient_connected(f: InstanceFacts, quotient):
     """Below the closed-form bound, the layer quotient must stay connected."""
-    quotient = f.quotient(S)
     components = len(connected_components(quotient.graph))
     return {"quotient_components": components, "connected": components == 1}, components == 1
 
 
-def _layer_in_component(f: InstanceFacts, S):
+def _layer_in_component(f: InstanceFacts, quotient):
     """Below the bound, each layer remainder must land in one component of
     the punctured product (so S cannot split any single layer across parts)."""
-    quotient = f.quotient(S)
     # the quotient has checked that S leaves each layer nonempty
     remainders = [sum(1 << v for v in rem) for rem in quotient.remainders]
     kept = sum(remainders)  # the layers are disjoint
@@ -165,7 +163,8 @@ def lemma_battery(f: InstanceFacts, seed: int = 0, separator_samples: int = 1):
     """The supporting facts: the connectedness criterion and deletion
     monotonicity on a G with two or more vertices, the minimum-degree
     identity, and for connected G with n >= 3 the two quotient checks on each
-    of ``separator_samples`` candidate separators drawn from Random(seed)."""
+    of ``separator_samples`` candidate separators drawn from Random(seed),
+    both reading the one quotient built for it."""
     base = {"graph6": f.graph6, "n": f.n}
     nontrivial = f.g.vertex_count >= 2
     if nontrivial:
@@ -178,8 +177,9 @@ def lemma_battery(f: InstanceFacts, seed: int = 0, separator_samples: int = 1):
         for _ in range(separator_samples):
             chosen = f.sample_separator(rng)
             with_s = {**base, "S": sorted(chosen), "seed": seed}
-            yield run_check("quotient_connected", f, with_s, S=chosen)
-            yield run_check("layer_in_component", f, dict(with_s), S=chosen)
+            quotient = f.quotient(chosen)
+            yield run_check("quotient_connected", f, with_s, quotient=quotient)
+            yield run_check("layer_in_component", f, dict(with_s), quotient=quotient)
 
 
 #: inputs ``rerun_check`` needs besides G and n: the quotient checks' separator S
@@ -221,11 +221,12 @@ def rerun_check(report: VerificationReport) -> str:
     if wrong:
         raise ValueError(f"cannot rerun {name!r}: input {wrong[0]!r} has the wrong type")
     g = complete_graph(ins["m"]) if "m" in ins else parse_graph6(ins["graph6"])
-    params = {"S": ins["S"]} if "S" in _RERUN_INPUTS.get(name, ()) else {}
+    facts = InstanceFacts(g, ins["n"])
+    params = {"quotient": facts.quotient(ins["S"])} if "S" in _RERUN_INPUTS.get(name, ()) else {}
     oracles = [o for o in ("flow", "brute") if f"kappa_{o}" in report.computed]
     if oracles:
         params["oracle"] = "both" if len(oracles) == 2 else oracles[0]
-    _, ok = check(InstanceFacts(g, ins["n"]), **params)
+    _, ok = check(facts, **params)
     return verdict_of(ok)
 
 
@@ -241,9 +242,9 @@ def check_layer_in_component(g: Graph, n: int, removed) -> VerificationReport:
 
 def _check_sampled(name: str, g: Graph, n: int, removed) -> VerificationReport:
     facts = InstanceFacts(g, n)
-    removed = frozenset(removed)
-    return run_check(name, facts, {"graph6": facts.graph6, "n": n, "S": sorted(removed)},
-                     S=removed)
+    quotient = facts.quotient(removed)
+    return run_check(name, facts, {"graph6": facts.graph6, "n": n,
+                                   "S": sorted(quotient.removed)}, quotient=quotient)
 
 
 def check_complete_product(m: int, n: int) -> VerificationReport:

@@ -5,7 +5,9 @@ from random import Random
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
-from networkx.algorithms.connectivity import local_node_connectivity
+from networkx.algorithms.connectivity import (build_auxiliary_node_connectivity,
+                                              local_node_connectivity)
+from networkx.algorithms.flow import build_residual_network
 
 from kronkappa import (
     Graph,
@@ -25,7 +27,8 @@ from kronkappa import (
 from kronkappa import _kernels, connectivity
 from kronkappa._kernels import _disjoint_paths, _eh_pairs, kappa_from_matrix
 
-from conftest import graph_strategy, ref_is_separator, ref_kappa, ref_min_vertex_cut
+from conftest import (graph_strategy, ref_components, ref_is_separator, ref_kappa,
+                      ref_min_vertex_cut)
 
 PETERSEN = "IheA@GUAo"
 
@@ -294,9 +297,9 @@ def test_kappa_floor_returns_capped_connectivity(seed):
     k = nx.node_connectivity(_to_networkx(g))
     assert kappa_from_matrix(rows) == k, seed
     degrees = [row.bit_count() for row in rows]
-    v_min = degrees.index(min(degrees))
+    pairs = list(_eh_pairs(rows, degrees.index(min(degrees)), _kernels._product_columns(rows)))
     for floor in range(k + 1):
-        flows = [_disjoint_paths(rows, s, t, floor + 1) for s, t in _eh_pairs(rows, v_min)]
+        flows = [_disjoint_paths(rows, s, t, floor + 1) for s, t in pairs]
         assert min([min(degrees), floor + 1] + flows) == min(k, floor + 1), (seed, floor)
 
 
@@ -362,50 +365,141 @@ def _eh_definition(rows, v_min):
                     if around >> x & around >> y & 1 and not rows[x] >> y & 1}
 
 
+def _watch_flows(monkeypatch):
+    """Record the (s, t) of each flow the kernel runs."""
+    flows = []
+    paths = _kernels._disjoint_paths
+    monkeypatch.setattr(_kernels, "_disjoint_paths",
+                        lambda *args: flows.append(args[1:3]) or paths(*args))
+    return flows
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_orbit_schedule_runs_one_pair_per_orbit(seed, monkeypatch):
     """Column permutations that fix v_min's column map a pair of G x K_n to
     one with the same layers and the same answer to "same column?". The
-    kernel must run one pair of each such class that Esfahanian-Hakimi's
-    full schedule holds, and no other: a value check alone cannot show this,
-    since on products a smaller schedule often still finds kappa."""
+    kernel must flow at most one pair of each such class that
+    Esfahanian-Hakimi's full schedule holds, and no other; a class it leaves
+    unflowed was certified, so its pairs are joined by at least kappa
+    disjoint paths. A value check alone cannot show this, since on products
+    a smaller schedule often still finds kappa."""
     rng = Random(seed)
     g = random_connected_graph(rng.randint(4, 7), rng.choice((0.4, 0.6)), seed)
     n = 3 + seed % 3
-    rows = direct_product(g, complete_graph(n)).graph._adj
+    product = direct_product(g, complete_graph(n)).graph
+    rows = product._adj
     degrees = [row.bit_count() for row in rows]
     v_min = degrees.index(min(degrees))
 
     def orbit(x, y):
         return frozenset((x // n, y // n)), x % n == y % n
 
-    full = {orbit(x, y) for x, y in _eh_definition(rows, v_min)}
-    pairs = []
-    paths = _kernels._disjoint_paths
-    monkeypatch.setattr(_kernels, "_disjoint_paths",
-                        lambda *args: pairs.append(args[1:3]) or paths(*args))
-    kappa_from_matrix(rows)
-    assert {orbit(x, y) for x, y in pairs} == full
-    assert len(pairs) == len(full)
+    full = {orbit(x, y): (x, y) for x, y in _eh_definition(rows, v_min)}
+    flows = _watch_flows(monkeypatch)
+    k = kappa_from_matrix(rows)
+    flowed = {orbit(x, y) for x, y in flows}
+    assert flowed <= full.keys()
+    assert len(flows) == len(flowed)
+    reference = _to_networkx(product)
+    assert k == nx.node_connectivity(reference)
+    for x, y in (full[c] for c in full.keys() - flowed):
+        assert x == v_min, (x, y)  # pairs inside N(v_min) always run
+        assert local_node_connectivity(reference, x, y) >= k, (x, y)
 
 
 def test_dense_product_runs_one_flow_per_orbit(monkeypatch):
-    """K2 x K512 at the vertex cap: two flows from v_min = (0, 0), to (0, 1)
-    and (1, 0), and one in its neighbourhood, from (1, 1) to (1, 2). The full
-    schedule would run 512 + C(511, 2) = 130,817."""
+    """K2 x K512 at the vertex cap: one flow from v_min = (0, 0), to (0, 1),
+    and one in its neighbourhood, from (1, 1) to (1, 2). The target (1, 0)
+    needs none: its 511 neighbours (0, 1..511) are the orbit of (0, 1). The
+    full schedule would run 512 + C(511, 2) = 130,817."""
     product = direct_product(complete_graph(2), complete_graph(512)).graph
-    flows = []
-    paths = _kernels._disjoint_paths
-    monkeypatch.setattr(_kernels, "_disjoint_paths",
-                        lambda *args: flows.append(args[1:3]) or paths(*args))
+    flows = _watch_flows(monkeypatch)
     assert kappa(product) == 511
-    assert flows == [(0, 1), (0, 512), (513, 514)]
+    assert flows == [(0, 1), (513, 514)]
+    assert product._adj[512] == (1 << 512) - 2
+
+
+def test_targets_sharing_v_mins_neighbours_run_no_flow(monkeypatch):
+    """C4 and K_{5,2}: v_min = 0's non-neighbours share all its neighbours, so
+    only the pair inside N(0) is flowed."""
+    flows = _watch_flows(monkeypatch)
+    assert kappa(cycle(4)) == 2
+    assert flows == [(1, 3)]
+    flows.clear()
+    assert kappa(Graph(7, [(a, b) for a in range(5) for b in (5, 6)])) == 2
+    assert flows == [(5, 6)]
+
+
+@pytest.mark.parametrize("cols", range(3, 7))
+def test_a_settled_target_settles_its_column_orbit(cols):
+    """(w, j >= 1) settles (w, 1..cols-1), which the column permutations that
+    fix v_min's column 0 map it onto; (w, 0), which they fix, settles itself,
+    and so does every target of a graph that is not G x K_cols."""
+    for w in range(4):
+        orbit = sum(1 << w * cols + j for j in range(1, cols))
+        assert _kernels._settled(w * cols, cols) == 1 << w * cols
+        for j in range(1, cols):
+            assert _kernels._settled(w * cols + j, cols) == orbit, (w, j)
+            assert _kernels._settled(w * cols + j, 0) == 1 << w * cols + j
+
+
+def _joined_past_every_small_cut(g, s, t, k):
+    """No k - 1 vertices other than s and t separate them, so k disjoint
+    paths join them (Menger); a walk over those subsets, for tiny graphs."""
+    others = [v for v in range(g.vertex_count) if v not in (s, t)]
+    edges = g.edge_list()
+    for removed in combinations(others, k - 1):
+        kept = [(a, b) for a, b in edges if a not in removed and b not in removed]
+        if not any(s in part and t in part for part in ref_components(g.vertex_count, kept)):
+            return False
+    return True
+
+
+def _skipped_targets_are_certified(g, flows):
+    """Every target of v_min that ``kappa_from_matrix`` leaves without a flow
+    is joined to v_min by at least kappa disjoint paths: by the subset walk
+    up to 6 vertices, by networkx's local connectivity above."""
+    rows = g._adj
+    flows.clear()
+    k = kappa_from_matrix(rows)
+    degrees = [row.bit_count() for row in rows]
+    if len(rows) < 2 or k == 0 or min(degrees) in (1, len(rows) - 1):
+        return 0  # answered before any flow
+    v_min = degrees.index(min(degrees))
+    targets = {t for s, t in _eh_pairs(rows, v_min, _kernels._product_columns(rows))
+               if s == v_min}
+    skipped = targets - {t for s, t in flows if s == v_min}
+    if len(rows) <= 6:
+        assert all(_joined_past_every_small_cut(g, v_min, t, k) for t in skipped), g.edge_list()
+    elif skipped:
+        reference = _to_networkx(g)
+        aux = build_auxiliary_node_connectivity(reference)
+        residual = build_residual_network(aux, "capacity")
+        for t in skipped:
+            paths = local_node_connectivity(reference, v_min, t, auxiliary=aux,
+                                            residual=residual, cutoff=k)
+            assert paths >= k, (g.edge_list(), t)
+    return len(skipped)
+
+
+def test_skipped_targets_are_certified(monkeypatch):
+    """The skip rule on its own, on every labelled graph with up to 6
+    vertices, every factor with up to 5 vertices times K3 and seeded random
+    products times K3 .. K6."""
+    flows = _watch_flows(monkeypatch)
+    graphs = list(all_labeled_graphs(6))
+    graphs += [direct_product(g, complete_graph(3)).graph for g in all_labeled_graphs(5)]
+    for seed in range(24):
+        rng = Random(seed)
+        g = random_connected_graph(rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)), seed)
+        graphs.append(direct_product(g, complete_graph(3 + seed % 4)).graph)
+    assert sum(_skipped_targets_are_certified(g, flows) for g in graphs) > 0
 
 
 def _eh_pairs_match_definition(rows):
     degrees = [row.bit_count() for row in rows]
     v_min = degrees.index(min(degrees))
-    pairs = list(_eh_pairs(rows, v_min))
+    pairs = list(_eh_pairs(rows, v_min, _kernels._product_columns(rows)))
     assert len(pairs) == len(set(pairs)), rows
     assert not any(rows[a] >> b & 1 for a, b in pairs), rows
     assert set(pairs) == _eh_definition(rows, v_min), rows

@@ -227,7 +227,7 @@ def test_layer_in_component_fails_when_a_layer_is_split():
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     facts = InstanceFacts(c4, 3)
     facts.product = direct_product(c4, Graph(3, [])).graph
-    computed, ok = CHECKS["layer_in_component"](facts, [])
+    computed, ok = CHECKS["layer_in_component"](facts, facts.quotient([]))
     assert computed == {"layers": 4, "all_in_one_component": False}
     assert not ok
 

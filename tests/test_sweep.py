@@ -298,6 +298,20 @@ def test_one_closed_form_per_instance(monkeypatch):
     assert counts == {"formula_kappa_product": 1, "min_degree": 1}
 
 
+def test_one_quotient_per_sample(monkeypatch):
+    """Each sampled separator's layer quotient is built once, for both of the
+    checks that read it: 5 builds for 5 samples, 10 before they shared it."""
+    builds = []
+    quotient = formula.InstanceFacts.quotient
+    monkeypatch.setattr(formula.InstanceFacts, "quotient",
+                        lambda self, removed: builds.append(removed) or quotient(self, removed))
+    reports = lemma_checks(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 3, seed=2,
+                           separator_samples=5)
+    assert [r.check_name for r in reports].count("layer_in_component") == 5
+    assert len(builds) == 5
+    assert all(r.passed for r in reports)
+
+
 def test_run_sweep_is_lazy(monkeypatch):
     calls = []
 
